@@ -73,10 +73,13 @@ def round_sphere(level):
             new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         verts = np.asarray(verts_list)
         faces = np.asarray(new_faces, dtype=int)
-    mesh = mesh_from_positions(verts, faces, meta={"builtin": "sphere", "level": level})
-    for name, sign in (("sx", [-1, 1, 1]), ("sy", [1, -1, 1]), ("sz", [1, 1, -1])):
-        mesh.actions[name] = _match_permutation(verts, verts * np.array(sign))
-    return mesh
+    actions = {
+        name: _match_permutation(verts, verts * np.array(sign))
+        for name, sign in (("sx", [-1, 1, 1]), ("sy", [1, -1, 1]), ("sz", [1, 1, -1]))
+    }
+    return mesh_from_positions(
+        verts, faces, actions=actions, meta={"builtin": "sphere", "level": level}
+    )
 
 
 def flat_torus(level, aspect=1.0):
@@ -110,12 +113,6 @@ def flat_torus(level, aspect=1.0):
             lengths[_edge_key(c10, c11)] = dy
             for node in (c00, c10, c11, c01):
                 lengths[_edge_key(node, ct)] = diag
-    mesh = SymmetricMesh(
-        pos,
-        np.asarray(tris, dtype=int),
-        lengths,
-        meta={"builtin": "torus", "level": level, "aspect": aspect},
-    )
     sx = np.zeros(2 * m * my, dtype=int)
     sy = np.zeros(2 * m * my, dtype=int)
     for i in range(m):
@@ -124,9 +121,13 @@ def flat_torus(level, aspect=1.0):
             sx[center(i, j)] = center(-i - 1, j)
             sy[corner(i, j)] = corner(i, -j)
             sy[center(i, j)] = center(i, -j - 1)
-    mesh.actions["sx"] = sx
-    mesh.actions["sy"] = sy
-    return mesh
+    return SymmetricMesh(
+        pos,
+        np.asarray(tris, dtype=int),
+        lengths,
+        actions={"sx": sx, "sy": sy},
+        meta={"builtin": "torus", "level": level, "aspect": aspect},
+    )
 
 
 def _stitch_rings(inner, outer):
@@ -172,21 +173,18 @@ def unit_disk(level):
     tris = []
     for j in range(m):
         tris += _stitch_rings(rings[j], rings[j + 1])
-    mesh = mesh_from_positions(
-        np.asarray(pos), np.asarray(tris, dtype=int),
-        meta={"builtin": "disk", "level": level},
-    )
     rim = rings[-1]
-    for k in range(len(rim)):
-        mesh.panels[_edge_key(rim[k], rim[(k + 1) % len(rim)])] = "free"
+    panels = {_edge_key(rim[k], rim[(k + 1) % len(rim)]): "free" for k in range(len(rim))}
     # reflection across the x-axis: theta -> -theta on every ring
     perm = np.zeros(len(pos), dtype=int)
     for ring in rings:
         n = len(ring)
         for k in range(n):
             perm[ring[k]] = ring[(-k) % n]
-    mesh.actions["sy"] = perm
-    return mesh
+    return mesh_from_positions(
+        np.asarray(pos), np.asarray(tris, dtype=int), panels=panels, actions={"sy": perm},
+        meta={"builtin": "disk", "level": level},
+    )
 
 
 def flat_cylinder(length, level, both_steklov=False, waist_symmetric=False):
@@ -228,17 +226,10 @@ def flat_cylinder(length, level, both_steklov=False, waist_symmetric=False):
             lengths[_edge_key(b, c)] = dt
             for node in (a, b, c, d):
                 lengths[_edge_key(node, ct)] = half_diag
-    mesh = SymmetricMesh(
-        pos,
-        np.asarray(tris, dtype=int),
-        lengths,
-        meta={"builtin": "cylinder", "level": level, "length": length},
-    )
+    panels = {}
     for i in range(m):
-        lab0 = "free" if both_steklov else "end0"
-        labL = "free" if both_steklov else "endL"
-        mesh.panels[_edge_key(vid(i, 0), vid(i + 1, 0))] = lab0
-        mesh.panels[_edge_key(vid(i, n_t), vid(i + 1, n_t))] = labL
+        panels[_edge_key(vid(i, 0), vid(i + 1, 0))] = "free" if both_steklov else "end0"
+        panels[_edge_key(vid(i, n_t), vid(i + 1, n_t))] = "free" if both_steklov else "endL"
     tau = np.zeros(len(pos), dtype=int)
     sth = np.zeros(len(pos), dtype=int)
     for i in range(m):
@@ -248,9 +239,14 @@ def flat_cylinder(length, level, both_steklov=False, waist_symmetric=False):
         for j in range(n_t):
             tau[cid(i, j)] = cid(i, n_t - 1 - j)
             sth[cid(i, j)] = cid(-i - 1, j)
-    mesh.actions["tau"] = tau
-    mesh.actions["stheta"] = sth
-    return mesh
+    return SymmetricMesh(
+        pos,
+        np.asarray(tris, dtype=int),
+        lengths,
+        panels=panels,
+        actions={"tau": tau, "stheta": sth},
+        meta={"builtin": "cylinder", "level": level, "length": length},
+    )
 
 
 def conformal_annulus(modulus, level):

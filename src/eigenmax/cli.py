@@ -26,9 +26,9 @@ from . import __version__, fem
 from .builtins import builtin
 from .chambers import build_mesh
 from .equivariant import invariant_multiplicity
-from .groups import make_group
-from .meshcore import SymmetricMesh
-from .optimize import gap_report, maximize
+from .groups import GroupError, make_group
+from .meshcore import MeshError, SymmetricMesh
+from .optimize import OptimizeError, gap_report, maximize
 from .taxonomy import (
     SurfaceDescriptor,
     TaxonomyError,
@@ -366,7 +366,7 @@ def cmd_optimize(args):
         out,
         {"command": "optimize", "input": args.input, "kind": args.kind,
          "resolution": args.resolution, "tol": args.tol,
-         "max_iters": args.max_iters, "seed": args.seed, "jobs": args.jobs},
+         "max_iters": args.max_iters, "seed": args.seed},
         [args.input],
         [mesh_path, state_path, report_path],
     )
@@ -458,7 +458,6 @@ def build_parser():
     p.add_argument("--tol", type=float, default=0.005)
     p.add_argument("--max-iters", type=int, default=100, dest="max_iters")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="eigenmax-out")
     p.set_defaults(func=cmd_optimize)
 
@@ -473,9 +472,6 @@ def main(argv=None):
     logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
-    jobs = getattr(args, "jobs", None)
-    if jobs:
-        os.environ.setdefault("OMP_NUM_THREADS", str(jobs))
     try:
         return args.func(args)
     except UsageError as exc:
@@ -485,7 +481,7 @@ def main(argv=None):
     except ValidationFailure as exc:
         print(f"validation: {exc}", file=sys.stderr)
         return 2
-    except (TaxonomyError, fem.FemError) as exc:
+    except (TaxonomyError, fem.FemError, MeshError, GroupError, OptimizeError) as exc:
         print(f"validation: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:

@@ -155,7 +155,6 @@ def area_bound_check(components, mesh, context="closed"):
         "holds": bool(area < bound),
     }
     if context == "closed":
-        genus = mesh.meta.get("descriptor", {}).get("_genus")
         report["reference_curve"] = "8*pi*(1 - log(2)/(2*genus))"
     return report
 

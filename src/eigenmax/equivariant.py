@@ -31,26 +31,16 @@ class NonCommuting(EquivariantError):
 
 
 def vertex_orbits(mesh, names=None):
-    """Orbit labels and representatives under the listed (or all) actions."""
+    """Orbit label of every vertex under the listed (or all) actions."""
+    # imported here: csgraph costs about 1 MB of resident memory at import
+    from scipy.sparse.csgraph import connected_components
+
     n = mesh.n_vertices
-    parent = np.arange(n)
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
     perms = [mesh.actions[k] for k in (names or sorted(mesh.actions))]
-    for perm in perms:
-        for v in range(n):
-            ra, rb = find(v), find(int(perm[v]))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    labels = np.array([find(v) for v in range(n)])
-    return labels
+    source = np.tile(np.arange(n), len(perms))
+    target = np.concatenate(perms) if perms else source
+    graph = sp.coo_matrix((np.ones(len(source)), (source, target)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
 
 
 def average_invariant(field, mesh, names=None):
@@ -61,16 +51,8 @@ def average_invariant(field, mesh, names=None):
     """
     field = np.asarray(field, dtype=float)
     labels = vertex_orbits(mesh, names)
-    out = np.zeros_like(field)
-    sums = {}
-    counts = {}
-    for v, lab in enumerate(labels):
-        sums[lab] = sums.get(lab, 0.0) + field[v]
-        counts[lab] = counts.get(lab, 0) + 1
-    means = {lab: sums[lab] / counts[lab] for lab in sums}
-    for v, lab in enumerate(labels):
-        out[v] = means[lab]
-    return out
+    means = np.bincount(labels, weights=field) / np.bincount(labels)
+    return means[labels]
 
 
 def _involution_perm(mesh, name):
@@ -225,34 +207,31 @@ def quotient_mesh(mesh, name):
             if all(fixed[v] for v in t):
                 raise EquivariantError("involution fixes a whole triangle")
             tris.append([new_index[v] for v in t])
+    # only the edges of the kept triangles: an edge of the discarded side may
+    # still join two kept vertices
+    tri_edges = {}
+    for t in tris:
+        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            key = _edge_key(a, b)
+            tri_edges[key] = tri_edges.get(key, 0) + 1
     lengths = {}
     for (a, b), l in mesh.edge_lengths.items():
         if keep[a] and keep[b]:
             key = _edge_key(int(new_index[a]), int(new_index[b]))
-            lengths[key] = l
+            if key in tri_edges:
+                lengths[key] = l
     panels = {}
     for (a, b), lab in mesh.panels.items():
         if keep[a] and keep[b]:
-            panels[_edge_key(int(new_index[a]), int(new_index[b]))] = lab
-    half = SymmetricMesh(
-        mesh.positions[keep],
-        np.asarray(tris, dtype=int),
-        lengths,
-        density=mesh.density[keep],
-        panels=panels,
-        actions={},
-        meta=dict(mesh.meta),
-    )
-    # stale edges from the discarded side may survive the dict filter above
-    half.edge_lengths = {
-        e: l for e, l in half.edge_lengths.items() if e in half.edge_triangle_count()
-    }
+            key = _edge_key(int(new_index[a]), int(new_index[b]))
+            if key in tri_edges:
+                panels[key] = lab
     # mirror panel: new boundary edges whose endpoints are fixed vertices
-    counts = half.edge_triangle_count()
-    for (a, b), c in counts.items():
-        if c == 1 and (a, b) not in half.panels:
-            half.panels[(a, b)] = f"mirror:{name}"
+    for key, c in tri_edges.items():
+        if c == 1 and key not in panels:
+            panels[key] = f"mirror:{name}"
     # induced actions of commuting symmetries that preserve the side
+    actions = {}
     for other, operm in mesh.actions.items():
         if other == name:
             continue
@@ -260,7 +239,16 @@ def quotient_mesh(mesh, name):
             continue
         images = operm[keep]
         if np.all(keep[images]):
-            half.actions[other] = new_index[images]
+            actions[other] = new_index[images]
+    half = SymmetricMesh(
+        mesh.positions[keep],
+        np.asarray(tris, dtype=int),
+        lengths,
+        density=mesh.density[keep],
+        panels=panels,
+        actions=actions,
+        meta=dict(mesh.meta),
+    )
     return half, new_index
 
 

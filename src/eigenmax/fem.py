@@ -41,35 +41,45 @@ class AllDirichlet(FemError):
 
 
 def assemble_stiffness(mesh):
-    """Cotangent-weight stiffness matrix of the reference metric (CSR)."""
-    la, lb, lc = mesh.all_triangle_lengths()
-    s = 0.5 * (la + lb + lc)
-    area = np.sqrt(np.maximum(s * (s - la) * (s - lb) * (s - lc), 1e-300))
-    tri = mesh.triangles
-    rows, cols, vals = [], [], []
+    """Cotangent-weight stiffness matrix of the reference metric (CSR).
+
+    Assembled once per mesh geometry; every call returns a private copy.
+    """
+    return mesh.geometry.cached("stiffness", lambda: _cotangent_stiffness(mesh)).copy()
+
+
+def _cotangent_stiffness(mesh):
+    # int32 triplets: they are the largest temporaries of a mesh's first solve
+    tri = mesh.triangles.astype(np.int32)
+    half_cot = 0.5 * mesh.geometry.cotangents
+    rows = np.empty((12, len(tri)), dtype=np.int32)
+    cols = np.empty((12, len(tri)), dtype=np.int32)
+    vals = np.empty((12, len(tri)))
     # cot(angle at vertex 0) pairs with the opposite edge (1,2), etc.
-    for corner, (x, y, z) in enumerate(((la, lb, lc), (lb, lc, la), (lc, la, lb))):
-        cot = (y**2 + z**2 - x**2) / (4.0 * area)
+    for corner in range(3):
         i = tri[:, (corner + 1) % 3]
         j = tri[:, (corner + 2) % 3]
-        w = 0.5 * cot
-        rows += [i, j, i, j]
-        cols += [j, i, i, j]
-        vals += [-w, -w, w, w]
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
+        w = half_cot[:, corner]
+        block = slice(4 * corner, 4 * corner + 4)
+        rows[block] = i, j, i, j
+        cols[block] = j, i, i, j
+        vals[block] = -w, -w, w, w
     n = mesh.n_vertices
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
 
 
 def assemble_mass(mesh):
     """Lumped mass diagonal: rho_i * (1/3) * sum of adjacent reference areas."""
+    return mesh.geometry.cached("mass", lambda: _lumped_mass(mesh)) * mesh.density
+
+
+def _lumped_mass(mesh):
     areas = mesh.reference_areas()
     diag = np.zeros(mesh.n_vertices)
     for k in range(3):
         np.add.at(diag, mesh.triangles[:, k], areas / 3.0)
-    return diag * mesh.density
+    diag.flags.writeable = False
+    return diag
 
 
 def assemble_boundary_mass(mesh, panels=None):
@@ -78,9 +88,21 @@ def assemble_boundary_mass(mesh, panels=None):
     panels selects the Steklov part of the boundary; by default every
     boundary panel that is not a mirror is included.
     """
+    diag = mesh.geometry.cached(
+        ("boundary_mass", _panel_key(panels)), lambda: _lumped_boundary_mass(mesh, panels)
+    )
+    return diag * np.sqrt(mesh.density)
+
+
+def _panel_key(panels):
+    return None if panels is None else frozenset(panels)
+
+
+def _lumped_boundary_mass(mesh, panels):
     diag = np.zeros(mesh.n_vertices)
     found = False
-    for e, lab in mesh.panels.items():
+    # sorted, so the sums do not depend on the panel dict's insertion order
+    for e, lab in sorted(mesh.panels.items()):
         if panels is None:
             if lab.startswith("mirror:"):
                 continue
@@ -92,7 +114,8 @@ def assemble_boundary_mass(mesh, panels=None):
         diag[e[1]] += 0.5 * l
     if not found:
         raise NoBoundary("no boundary panels selected")
-    return diag * np.sqrt(mesh.density)
+    diag.flags.writeable = False
+    return diag
 
 
 @dataclass
@@ -235,44 +258,72 @@ def _harmonic_solve(K, interior, boundary, rhs_at_boundary):
     return lu, -lu.solve(Kib @ rhs_at_boundary)
 
 
-def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=(), seed=0):
-    """Steklov / mixed-Steklov eigenvalues via the boundary Schur complement.
+@dataclass(frozen=True)
+class _DirichletToNeumann:
+    """Density-independent Schur complement of K onto the Steklov vertices."""
 
-    The pencil is K u = sigma B u with B supported on the Steklov panels;
-    eigenvectors are returned on the whole mesh as discrete harmonic
-    extensions of their boundary traces.
-    """
-    if not mesh.has_boundary():
-        raise NoBoundary("Steklov problem needs a boundary")
-    B = assemble_boundary_mass(mesh, steklov_panels)
-    K = assemble_stiffness(mesh).tolil()
+    steklov: np.ndarray  # Steklov vertices (positive boundary mass, not Dirichlet)
+    interior: np.ndarray  # the remaining free vertices
+    dtn: np.ndarray  # (s, s) symmetric Dirichlet-to-Neumann matrix
+    harmonic: np.ndarray  # (i, s) interior values of the harmonic extensions
+    has_dirichlet: bool
+
+
+def _dirichlet_to_neumann(mesh, on_boundary, dirichlet_panels):
     n = mesh.n_vertices
     fixed = set()
     for lab in dirichlet_panels:
         fixed.update(mesh.panel_vertices(lab).tolist())
-    steklov = np.array([i for i in np.nonzero(B > 0)[0] if i not in fixed], dtype=int)
+    steklov = np.array([i for i in np.nonzero(on_boundary)[0] if i not in fixed], dtype=int)
     if len(steklov) == 0:
         raise AllDirichlet("no Steklov vertices remain")
     free = np.array(sorted(set(range(n)) - fixed), dtype=int)
-    K = K.tocsr()[free][:, free].tocsr()
+    K = assemble_stiffness(mesh)[free][:, free].tocsr()
     loc = {v: k for k, v in enumerate(free)}
     b_loc = np.array([loc[v] for v in steklov], dtype=int)
     i_loc = np.array(sorted(set(range(len(free))) - set(b_loc.tolist())), dtype=int)
     Kbb = K[b_loc][:, b_loc].toarray()
     Kbi = K[b_loc][:, i_loc]
-    lu, Ui = _harmonic_solve(K, i_loc, b_loc, np.eye(len(b_loc)))
+    _, Ui = _harmonic_solve(K, i_loc, b_loc, np.eye(len(b_loc)))
     dtn = Kbb + Kbi @ Ui
     dtn = 0.5 * (dtn + dtn.T)
-    Bb = B[steklov]
-    count = int(min(count, len(b_loc)))
-    vals, traces = scipy.linalg.eigh(dtn, np.diag(Bb))
-    vals, traces = vals[:count], traces[:, :count]
+    for array in (steklov, dtn, Ui):
+        array.flags.writeable = False
+    return _DirichletToNeumann(steklov, free[i_loc], dtn, Ui, bool(fixed))
+
+
+def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=(), seed=0):
+    """Steklov / mixed-Steklov eigenvalues via the boundary Schur complement.
+
+    The pencil is K u = sigma B u with B supported on the Steklov panels;
+    eigenvectors are returned on the whole mesh as discrete harmonic
+    extensions of their boundary traces.  The Schur complement does not
+    depend on the density and is computed once per mesh geometry and
+    boundary-condition choice, so a solve is one dense boundary eigh.
+    """
+    if not mesh.has_boundary():
+        raise NoBoundary("Steklov problem needs a boundary")
+    B = assemble_boundary_mass(mesh, steklov_panels)
+    key = ("dtn", _panel_key(steklov_panels), frozenset(dirichlet_panels))
+    dtn = mesh.geometry.cached(
+        key, lambda: _dirichlet_to_neumann(mesh, B > 0, dirichlet_panels)
+    )
+    n = mesh.n_vertices
+    Bb = B[dtn.steklov]
+    count = int(min(count, len(dtn.steklov)))
+    # Bb is diagonal and positive, so the pencil (dtn, Bb) is the standard
+    # problem for Bb^-1/2 dtn Bb^-1/2; numpy solves it, as it does every
+    # other dense product of a solve, so that scipy's separate BLAS thread
+    # pool does not contend with numpy's on every call
+    scale = 1.0 / np.sqrt(Bb)
+    vals, modes = np.linalg.eigh(scale[:, None] * dtn.dtn * scale[None, :])
+    vals, traces = vals[:count], scale[:, None] * modes[:, :count]
     vals, traces = _mass_orthonormalize(vals, traces, Bb)
     vecs = np.zeros((n, count))
-    vecs[steklov] = traces
-    vecs[free[i_loc]] = Ui @ traces
-    n_zero = 0 if fixed else _zero_count(vals, vals[-1] if len(vals) else 1.0)
-    return Spectrum(vals, vecs, _embed(B, steklov, n), "steklov", n_zero=n_zero)
+    vecs[dtn.steklov] = traces
+    vecs[dtn.interior] = dtn.harmonic @ traces
+    n_zero = 0 if dtn.has_dirichlet else _zero_count(vals, vals[-1] if len(vals) else 1.0)
+    return Spectrum(vals, vecs, _embed(B, dtn.steklov, n), "steklov", n_zero=n_zero)
 
 
 def _embed(B, idx, n):
@@ -318,17 +369,15 @@ def dirichlet_energy_density(mesh, U):
     density, which makes it a natural replacement update for the optimizer.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float).T).T
-    la, lb, lc = mesh.all_triangle_lengths()
-    s = 0.5 * (la + lb + lc)
-    area = np.sqrt(np.maximum(s * (s - la) * (s - lb) * (s - lc), 1e-300))
+    area = np.maximum(mesh.reference_areas(), 1e-150)
+    cot = mesh.geometry.cotangents
     tri = mesh.triangles
     energy = np.zeros(len(tri))
-    for corner, (x, y, z) in enumerate(((la, lb, lc), (lb, lc, la), (lc, la, lb))):
-        cot = (y**2 + z**2 - x**2) / (4.0 * area)
+    for corner in range(3):
         i = tri[:, (corner + 1) % 3]
         j = tri[:, (corner + 2) % 3]
         diff = U[i] - U[j]
-        energy += 0.5 * cot * np.sum(diff**2, axis=1)
+        energy += 0.5 * cot[:, corner] * np.sum(diff**2, axis=1)
     density_t = energy / area  # piecewise-constant |grad|^2
     out = np.zeros(mesh.n_vertices)
     weight = np.zeros(mesh.n_vertices)

@@ -60,12 +60,6 @@ def gl_energy(state, mesh):
     return dirichlet + float(np.sum(w * pen**2)) / (4 * state.eps**power)
 
 
-def fb_gl_energy(state, mesh):
-    if state.kind != "free_boundary":
-        raise GLError("state is not a free-boundary relaxation")
-    return gl_energy(state, mesh)
-
-
 def gl_gradient(state, mesh):
     """L2 gradient of the energy (per-vertex vectors)."""
     K = fem.assemble_stiffness(mesh)

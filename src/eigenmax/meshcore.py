@@ -8,8 +8,10 @@ multiplying the reference metric (lengths scale by sqrt(rho)).
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +50,77 @@ def _edge_key(a, b):
     return (a, b) if a < b else (b, a)
 
 
+class MeshGeometry:
+    """Density-independent data of a mesh, shared by all its density copies.
+
+    Built, and the combinatorics validated, when the mesh is constructed:
+    the per-triangle reference lengths (one vectorized lookup of the edge
+    codes) and the boundary edges.  Areas and cotangents come from one
+    Heron/cotangent kernel on first use.
+    Operators assembled from them (stiffness, reference masses,
+    Dirichlet-to-Neumann blocks) are stored with ``cached``.  Every stored
+    array is read-only, and the mesh fields the geometry was built from must
+    not be mutated afterwards.
+
+    Edges are coded as ``a * base + b``; ``base`` exceeds every vertex index.
+    """
+
+    def __init__(self, n_vertices, triangles, edge_lengths):
+        tri = triangles
+        degenerate = (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 2] == tri[:, 0])
+        if np.any(degenerate):
+            raise MeshError(f"degenerate triangle {tri[np.argmax(degenerate)]}")
+        pairs = np.array(list(edge_lengths), dtype=np.int64).reshape(-1, 2)
+        values = np.fromiter(edge_lengths.values(), dtype=float, count=len(pairs))
+        self.base = 1 + max(n_vertices - 1, int(tri.max(initial=-1)), int(pairs.max(initial=-1)))
+        # the edge opposite corner k joins corners k+1 and k+2
+        a, b = tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]
+        corner_codes = np.minimum(a, b) * self.base + np.maximum(a, b)
+        edges, counts = np.unique(corner_codes, return_counts=True)
+        shared = counts > 2
+        if np.any(shared):
+            raise MeshError(f"non-manifold edge {self.pair(edges[np.argmax(shared)])}")
+        codes = pairs[:, 0] * self.base + pairs[:, 1]
+        order = np.argsort(codes)
+        codes = codes[order]
+        missing = ~np.isin(edges, codes)
+        if np.any(missing):
+            raise MeshError(f"edge {self.pair(edges[np.argmax(missing)])} has no reference length")
+        #: (m, 3) reference length of the edge opposite each corner
+        self.lengths = _frozen(values[order][np.searchsorted(codes, corner_codes)])
+        self.boundary_codes = _frozen(edges[counts == 1])
+        self._cache = {}
+
+    def pair(self, code):
+        return (int(code) // self.base, int(code) % self.base)
+
+    @cached_property
+    def areas(self):
+        """Per-triangle reference area (Heron)."""
+        la, lb, lc = self.lengths.T
+        s = 0.5 * (la + lb + lc)
+        return _frozen(np.sqrt(np.maximum(s * (s - la) * (s - lb) * (s - lc), 0.0)))
+
+    @cached_property
+    def cotangents(self):
+        """(m, 3) cotangent of the reference angle at each corner."""
+        la, lb, lc = self.lengths.T
+        four_area = 4.0 * np.maximum(self.areas, 1e-150)
+        corners = ((la, lb, lc), (lb, lc, la), (lc, la, lb))
+        return _frozen(np.column_stack([(y**2 + z**2 - x**2) / four_area for x, y, z in corners]))
+
+    def cached(self, key, build):
+        """The value stored under key; build() makes it on the first request only."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
 @dataclass
 class SymmetricMesh:
     """Triangle mesh with reference edge lengths, density, panels and actions.
@@ -61,6 +134,10 @@ class SymmetricMesh:
     actions: dict element name -> vertex permutation (arrays); must form a
         group under composition for the averaging operator to be a projection
     meta: free-form provenance (descriptor, builtin name, BRS flags)
+
+    triangles, edge_lengths and panels must not be mutated after
+    construction: the density-independent ``geometry`` is derived from them
+    once and shared by every ``with_density`` copy.
     """
 
     positions: np.ndarray
@@ -93,49 +170,24 @@ class SymmetricMesh:
     def edges(self):
         return list(self.edge_lengths.keys())
 
-    def edge_triangle_count(self):
-        count = {}
-        for t in self.triangles:
-            for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                count[_edge_key(a, b)] = count.get(_edge_key(a, b), 0) + 1
-        return count
-
     def boundary_edges(self):
-        return [e for e, c in self.edge_triangle_count().items() if c == 1]
+        return [self.geometry.pair(c) for c in self.geometry.boundary_codes]
 
     def boundary_vertices(self):
-        verts = set()
-        for a, b in self.boundary_edges():
-            verts.add(a)
-            verts.add(b)
-        return np.array(sorted(verts), dtype=int)
+        codes = self.geometry.boundary_codes
+        base = self.geometry.base
+        return np.unique(np.concatenate([codes // base, codes % base])).astype(int)
 
     def has_boundary(self):
-        return any(c == 1 for c in self.edge_triangle_count().values())
+        return len(self.geometry.boundary_codes) > 0
 
     def euler_characteristic(self):
         return self.n_vertices - len(self.edge_lengths) + self.n_triangles
 
     def _check_manifold(self):
-        count = {}
-        for t in self.triangles:
-            if len(set(t)) != 3:
-                raise MeshError(f"degenerate triangle {t}")
-            for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                count[_edge_key(a, b)] = count.get(_edge_key(a, b), 0) + 1
-        for e, c in count.items():
-            if c > 2:
-                raise MeshError(f"non-manifold edge {e}")
-            if e not in self.edge_lengths:
-                raise MeshError(f"edge {e} has no reference length")
-
-    def triangle_lengths(self, t):
-        a, b, c = self.triangles[t]
-        return (
-            self.edge_lengths[_edge_key(b, c)],
-            self.edge_lengths[_edge_key(c, a)],
-            self.edge_lengths[_edge_key(a, b)],
-        )
+        """Rejects degenerate triangles, edges of more than two triangles and
+        triangle edges without a reference length, while building the geometry."""
+        self.geometry = MeshGeometry(self.n_vertices, self.triangles, self.edge_lengths)
 
     def _check_quality(self):
         la, lb, lc = self.all_triangle_lengths()
@@ -150,21 +202,12 @@ class SymmetricMesh:
                 raise DegenerateTriangle("triangle violates the triangle inequality")
 
     def all_triangle_lengths(self):
-        tri = self.triangles
-        key = lambda a, b: np.where(a < b, a, b) * self.n_vertices + np.where(a < b, b, a)
-        lookup = {i * self.n_vertices + j: l for (i, j), l in self.edge_lengths.items()}
-        getl = np.vectorize(lookup.__getitem__)
-        la = getl(key(tri[:, 1], tri[:, 2]))
-        lb = getl(key(tri[:, 2], tri[:, 0]))
-        lc = getl(key(tri[:, 0], tri[:, 1]))
-        return la, lb, lc
+        """Read-only (la, lb, lc): per triangle, the lengths opposite corners 0, 1, 2."""
+        return tuple(self.geometry.lengths.T)
 
     def reference_areas(self):
-        """Per-triangle area of the reference metric (Heron)."""
-        la, lb, lc = self.all_triangle_lengths()
-        s = 0.5 * (la + lb + lc)
-        val = s * (s - la) * (s - lb) * (s - lc)
-        return np.sqrt(np.maximum(val, 0.0))
+        """Per-triangle area of the reference metric (Heron); read-only."""
+        return self.geometry.areas
 
     # -- panels --------------------------------------------------------------
 
@@ -183,7 +226,8 @@ class SymmetricMesh:
     # -- density and measures -------------------------------------------------
 
     def with_density(self, rho):
-        """Copy-on-write density update; validates positivity and invariance."""
+        """Copy with a new density, sharing the geometry; validates positivity
+        and invariance in O(n) and does not re-check the mesh."""
         rho = np.asarray(rho, dtype=float)
         if rho.shape != (self.n_vertices,):
             raise MeshError("density must be one value per vertex")
@@ -192,7 +236,9 @@ class SymmetricMesh:
         for name, perm in self.actions.items():
             if not np.allclose(rho[perm], rho, rtol=1e-12, atol=0.0):
                 raise NonInvariantDensity(f"density is not invariant under {name}")
-        return replace(self, density=rho.copy())
+        out = copy.copy(self)
+        out.density = rho.copy()
+        return out
 
     def area(self):
         areas = self.reference_areas()

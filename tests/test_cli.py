@@ -131,3 +131,17 @@ def test_determinism_of_reports(tmp_path):
     r2 = (out2 / "report.json").read_bytes()
     assert r1 == r2
     assert (out1 / "state.json").read_bytes() == (out2 / "state.json").read_bytes()
+
+
+def test_invalid_group_exits_with_validation(capsys):
+    # D1 is not a reflection group (InvalidK): one line on stderr, exit 2
+    assert run(["spectrum", "M(D1,1)"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("validation: ")
+
+
+def test_infeasible_type_exits_with_validation(capsys):
+    # more corner circles than fit a *33 chamber (InvalidType)
+    assert run(["spectrum", "M(D3,9rho1rho2)"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("validation: ")

@@ -15,7 +15,7 @@ from eigenmax.fem import (
     solve_generalized,
     steklov_spectrum,
 )
-from eigenmax.meshcore import mesh_from_positions
+from eigenmax.meshcore import SymmetricMesh, mesh_from_positions
 
 
 def test_stiffness_constants_in_kernel():
@@ -184,3 +184,48 @@ def test_harmonic_extension_cylinder_mode():
         _, energy = harmonic_extension(mesh, (end0, np.cos(theta)))
         expected = np.pi * (1.0 / (1 + np.exp(-2 * L)) - 1.0 / (1 + np.exp(2 * L)))
         assert energy == pytest.approx(expected, rel=1e-2), L
+
+
+def test_cached_operators_match_a_fresh_mesh():
+    # the operators cached on a mesh equal those assembled for an independent
+    # copy rebuilt from its JSON, also after density updates
+    mesh = unit_disk(2)
+    rho = 1.0 + 0.5 * mesh.positions[:, 0] ** 2
+    for scaled in (mesh, mesh.with_density(rho), mesh.with_density(2.0 * rho)):
+        fresh = SymmetricMesh.from_json(scaled.to_json())
+        assert fresh.geometry is not scaled.geometry
+        assert np.array_equal(
+            assemble_stiffness(scaled).toarray(), assemble_stiffness(fresh).toarray()
+        )
+        assert np.array_equal(assemble_mass(scaled), assemble_mass(fresh))
+        assert np.array_equal(assemble_boundary_mass(scaled), assemble_boundary_mass(fresh))
+        a, b = steklov_spectrum(scaled, 6), steklov_spectrum(fresh, 6)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.vectors, b.vectors)
+
+
+def test_returned_stiffness_is_a_private_copy():
+    mesh = round_sphere(1)
+    K = assemble_stiffness(mesh)
+    expected = K.toarray()
+    K.data[:] = 7.0
+    K[0, 0] = -1.0
+    assert np.array_equal(assemble_stiffness(mesh).toarray(), expected)
+    mass = assemble_mass(mesh)
+    mass[:] = 0.0
+    assert np.all(assemble_mass(mesh) > 0)
+
+
+def test_mixed_steklov_cache_keys_on_the_panels():
+    mesh = flat_cylinder(1.0, 1)
+    free = mixed_spectrum(mesh, {"end0": "neumann", "endL": "steklov"}, count=3)
+    clamped = mixed_spectrum(mesh, {"end0": "dirichlet", "endL": "steklov"}, count=3)
+    both = steklov_spectrum(mesh, 3, steklov_panels=["end0", "endL"])
+    fresh = SymmetricMesh.from_json(mesh.to_json())
+    assert np.array_equal(
+        free.eigenvalues,
+        mixed_spectrum(fresh, {"end0": "neumann", "endL": "steklov"}, count=3).eigenvalues,
+    )
+    assert clamped.n_zero == 0 and free.n_zero == 1
+    assert clamped.eigenvalues[0] > free.first_nonzero() - 1e-12
+    assert np.count_nonzero(both.mass) == 2 * np.count_nonzero(free.mass)

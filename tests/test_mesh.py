@@ -11,6 +11,7 @@ from eigenmax.builtins import (
 )
 from eigenmax.meshcore import (
     GluedMetricSpec,
+    MeshError,
     NonInvariantDensity,
     NonPositiveDensity,
     SymmetricMesh,
@@ -133,3 +134,65 @@ def test_glue_cylinder_equivariant():
     glued = glue_cylinder(s1, None, GluedMetricSpec(0.05, 4.0, [(p, q)]))
     assert "sz" in glued.actions
     assert glued.check_action("sz")
+
+
+def test_density_copy_shares_geometry(monkeypatch):
+    mesh = unit_disk(1)
+    checks = []
+    original = SymmetricMesh._check_manifold
+    monkeypatch.setattr(
+        SymmetricMesh, "_check_manifold", lambda self: checks.append(1) or original(self)
+    )
+    scaled = mesh.with_density(2.0 * mesh.density)
+    assert scaled.geometry is mesh.geometry
+    assert scaled.with_density(mesh.density).geometry is mesh.geometry
+    assert checks == []
+    assert np.array_equal(mesh.density, np.ones(mesh.n_vertices))
+    # the checks still run for a new mesh
+    SymmetricMesh.from_json(mesh.to_json())
+    assert checks == [1]
+
+
+def test_geometry_arrays_are_read_only():
+    mesh = round_sphere(1)
+    la, _, _ = mesh.all_triangle_lengths()
+    for array in (la, mesh.reference_areas(), mesh.geometry.cotangents):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_invalid_triangles_rejected():
+    pos = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
+    with pytest.raises(MeshError, match="degenerate triangle"):
+        mesh_from_positions(pos, [(0, 1, 1)])
+    lengths = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.4}
+    with pytest.raises(MeshError, match=r"edge \([02], 3\) has no reference length"):
+        SymmetricMesh(pos, [(0, 1, 2), (0, 2, 3)], lengths)
+    pos5 = pos + [(0.5, -1, 0)]
+    with pytest.raises(MeshError, match=r"non-manifold edge \(0, 1\)"):
+        mesh_from_positions(pos5, [(0, 1, 2), (1, 0, 3), (0, 1, 4)])
+
+
+def test_quotient_half_is_complete_at_construction(monkeypatch):
+    from eigenmax.equivariant import quotient_mesh
+
+    built = []
+    original = SymmetricMesh.__post_init__
+
+    def record(self):
+        original(self)
+        built.append((set(self.edge_lengths), dict(self.panels)))
+
+    monkeypatch.setattr(SymmetricMesh, "__post_init__", record)
+    half, _ = quotient_mesh(conformal_annulus(0.4, 0), "tau")
+    edges, panels = built[-1]
+    tri_edges = {
+        (min(a, b), max(a, b))
+        for t in half.triangles.tolist()
+        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
+    }
+    assert edges == tri_edges == set(half.edge_lengths)
+    assert panels == half.panels
+    assert set(panels) == set(half.boundary_edges())
+    assert set(panels.values()) == {"free", "mirror:tau"}
+    assert half.euler_characteristic() == 0
