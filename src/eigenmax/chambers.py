@@ -12,17 +12,22 @@ chamber, glued along panels.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from . import distmesh
-from .groups import enumerate_elements, standard_action
-from .meshcore import MeshError, SymmetricMesh, _edge_key
+from .groups import closure, standard_action
+from .meshcore import MeshError, SymmetricMesh, _edge_key, components, edge_endpoints
 from .taxonomy import (
     SurfaceDescriptor,
     TaxonomyError,
     genus_of_type,
     validate_type,
 )
+
+
+log = logging.getLogger(__name__)
 
 
 class ChamberError(MeshError):
@@ -511,70 +516,34 @@ def _chamber_from_planar(p, tri, all_curves, pfix, proj, group, btype, h_s):
 # ---------------------------------------------------------------------------
 
 class AssemblyGroup:
-    """Finite group generated by tau and/or mirror matrices for gluing."""
+    """Finite group generated by tau and/or mirror matrices for gluing.
+
+    Elements are (tau bit, matrix) pairs in the breadth-first order of
+    ``groups.closure``.  ``right[name][k]`` is element k times the named
+    generator and ``left[a, b]`` is element a times element b.
+    """
 
     def __init__(self, gen_specs):
         # gen_specs: list of (name, tau_bit, matrix)
         self.gen_specs = list(gen_specs)
-        eye = np.eye(3)
-        self.elements = [(0, eye)]
-        self.names = ["e"]
-        self.parities = [1]
-        frontier = [0]
-        while frontier:
-            new = []
-            for idx in frontier:
-                t, m = self.elements[idx]
-                for name, gt, gm in self.gen_specs:
-                    cand = ((t + gt) % 2, m @ gm)
-                    if self._find(cand) < 0:
-                        self.elements.append(cand)
-                        word = self.names[idx]
-                        self.names.append(name if word == "e" else word + "." + name)
-                        det = np.linalg.det(cand[1])
-                        self.parities.append(int(np.sign(det)) * (-1) ** cand[0])
-                        new.append(len(self.elements) - 1)
-            frontier = new
-        self.order = len(self.elements)
-        # right-multiplication by each generator
-        self.right = {}
-        for name, gt, gm in self.gen_specs:
-            table = []
-            for t, m in self.elements:
-                table.append(self._find(((t + gt) % 2, m @ gm)))
-            self.right[name] = table
-        # left-multiplication by each element (for the action table)
-        self.left = []
-        for a, (t, m) in enumerate(self.elements):
-            row = []
-            for t2, m2 in self.elements:
-                row.append(self._find(((t + t2) % 2, m @ m2)))
-            self.left.append(row)
-
-    def _find(self, el):
-        t, m = el
-        for k, (t2, m2) in enumerate(self.elements):
-            if t2 == t and np.allclose(m, m2, atol=1e-10, rtol=0.0):
-                return k
-        return -1
+        gen_names = [name for name, _, _ in self.gen_specs]
+        group = closure([m for _, _, m in self.gen_specs], [t for _, t, _ in self.gen_specs])
+        self.tau_bits = group.bits
+        self.matrices = group.matrices
+        self.names = [".".join(gen_names[i] for i in word) or "e" for word in group.words]
+        self.parities = [(-1) ** len(word) for word in group.words]
+        self.order = group.order
+        self.right = {name: group.right[:, i] for i, name in enumerate(gen_names)}
+        self.left = group.left_table()
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = np.arange(n)
-
-    def find(self, a):
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+def _first_copies(a, b):
+    """Distinct edges among a[k]-b[k] as (lo, hi) keys, in the order of their
+    first occurrence, with the index k of that occurrence."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    _, first = np.unique(lo * (1 + hi.max(initial=0)) + hi, return_index=True)
+    first.sort()
+    return list(zip(lo[first].tolist(), hi[first].tolist())), first
 
 
 def reflect_assemble(chamber, assembly, free_labels=()):
@@ -582,83 +551,59 @@ def reflect_assemble(chamber, assembly, free_labels=()):
 
     Panels named in free_labels are left as boundary (label 'free') instead
     of being glued; every other mirror panel must correspond to a generator
-    of the assembly group.
+    of the assembly group.  Copy g of chamber vertex v is node g * n_v + v;
+    glued vertices are numbered in the order of their smallest node.
     """
     n_e = assembly.order
     n_v = chamber.n_vertices
     glued_labels = {name for name, _, _ in assembly.gen_specs}
 
-    vertex_panels = {}
+    mirror_vertices = {}
     for (a, b), lab in chamber.panels.items():
         name = lab.split(":", 1)[1]
         if name in free_labels:
             continue
         if name not in glued_labels:
             raise GluingMismatch(f"panel {name} has no generator in the assembly group")
-        vertex_panels.setdefault(a, set()).add(name)
-        vertex_panels.setdefault(b, set()).add(name)
+        mirror_vertices.setdefault(name, set()).update((a, b))
 
-    uf = _UnionFind(n_e * n_v)
-    node = lambda g, v: g * n_v + v
-    for v, names in vertex_panels.items():
-        for name in names:
-            table = assembly.right[name]
-            for g in range(n_e):
-                uf.union(node(g, v), node(table[g], v))
-
-    rep = np.array([uf.find(i) for i in range(n_e * n_v)])
-    unique, glued = np.unique(rep, return_inverse=True)
-    n_glued = len(unique)
+    # copy g and copy g*s share the vertices on the mirror of generator s
+    nodes = np.arange(n_e * n_v).reshape(n_e, n_v)
+    source, target = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for name, verts in mirror_vertices.items():
+        verts = sorted(verts)
+        source.append(nodes[:, verts].ravel())
+        target.append(nodes[assembly.right[name]][:, verts].ravel())
+    n_glued, glued = components(nodes.ravel(), np.concatenate(source), np.concatenate(target))
+    glued = glued.astype(np.int64).reshape(n_e, n_v)
 
     positions = np.zeros((n_glued, 3))
     for g in range(n_e):
-        mat = assembly.elements[g][1]
-        idx = glued[g * n_v : (g + 1) * n_v]
-        positions[idx] = chamber.positions @ mat.T
+        positions[glued[g]] = chamber.positions @ assembly.matrices[g].T
 
-    triangles = []
-    for g in range(n_e):
-        idx = glued[g * n_v : (g + 1) * n_v]
-        tris = idx[chamber.triangles]
-        if assembly.parities[g] < 0:
-            tris = tris[:, ::-1]
-        triangles.append(tris)
-    triangles = np.vstack(triangles)
-    # each glued triangle appears once per chamber copy it bounds; dedupe
-    tri_keys = {}
-    keep = []
-    for k, t in enumerate(triangles):
-        key = tuple(sorted(t.tolist()))
-        if key not in tri_keys:
-            tri_keys[key] = k
-            keep.append(k)
-    triangles = triangles[keep]
+    triangles = glued[:, chamber.triangles]
+    flip = np.array(assembly.parities) < 0
+    triangles[flip] = triangles[flip][:, :, ::-1]
+    triangles = triangles.reshape(-1, 3)
+    # each glued triangle appears once per chamber copy it bounds; keep the first
+    _, first = np.unique(np.sort(triangles, axis=1), axis=0, return_index=True)
+    triangles = triangles[np.sort(first)]
 
-    lengths = {}
-    base_edges = list(chamber.edge_lengths.items())
-    for g in range(n_e):
-        idx = glued[g * n_v : (g + 1) * n_v]
-        for (a, b), l in base_edges:
-            lengths[_edge_key(int(idx[a]), int(idx[b]))] = l
+    # a glued edge keeps the position of its first copy; copies share one length
+    a, b = edge_endpoints(chamber)
+    keys, first = _first_copies(glued[:, a].ravel(), glued[:, b].ravel())
+    values = list(chamber.edge_lengths.values())
+    lengths = {key: values[k % len(a)] for key, k in zip(keys, first.tolist())}
 
-    panels = {}
-    for (a, b), lab in chamber.panels.items():
-        name = lab.split(":", 1)[1]
-        if name not in free_labels:
-            continue
-        for g in range(n_e):
-            idx = glued[g * n_v : (g + 1) * n_v]
-            panels[_edge_key(int(idx[a]), int(idx[b]))] = "free"
+    free = [e for e, lab in chamber.panels.items() if lab.split(":", 1)[1] in free_labels]
+    pairs = np.array(free, dtype=int).reshape(-1, 2)
+    keys, _ = _first_copies(glued[:, pairs[:, 0]].T.ravel(), glued[:, pairs[:, 1]].T.ravel())
+    panels = dict.fromkeys(keys, "free")
 
     actions = {}
-    for gamma in range(n_e):
-        if gamma == 0:
-            continue
+    for gamma in range(1, n_e):
         perm = np.zeros(n_glued, dtype=int)
-        for g in range(n_e):
-            src = glued[g * n_v : (g + 1) * n_v]
-            dst = glued[assembly.left[gamma][g] * n_v : assembly.left[gamma][g] * n_v + n_v]
-            perm[src] = dst
+        perm[glued] = glued[assembly.left[gamma]]
         actions[assembly.names[gamma]] = perm
 
     mesh = SymmetricMesh(
@@ -704,11 +649,21 @@ def build_mesh(descriptor, target_vertices=2000, seed=0):
     specs, free = _assembly_specs(descriptor, group)
     assembly = AssemblyGroup(specs)
     area = 0.8 * 4 * np.pi / group.order  # chamber area less the excised circles
-    n_chamber = max(60, target_vertices // assembly.order)
+    requested = target_vertices // assembly.order
+    n_chamber = max(60, requested)
+    log.debug(
+        "%s: %d chambers, %d chamber vertices requested, %d planned%s",
+        descriptor.label(), assembly.order, requested, n_chamber,
+        " (60-vertex floor overrides the resolution)" if n_chamber > requested else "",
+    )
     # 0.72: measured correction for the mesher's equilibrium spacing
     h_s = 0.72 * float(np.sqrt(area / (0.866 * n_chamber)))
     chamber = chamber_mesh(group, descriptor.btype, h_s, seed=seed)
     mesh = reflect_assemble(chamber, assembly, free_labels=free)
+    log.debug(
+        "%s: assembled %d vertices from %d-vertex chambers",
+        descriptor.label(), mesh.n_vertices, chamber.n_vertices,
+    )
     mesh.meta["descriptor"] = descriptor.to_json()
     if descriptor.family == "closed":
         expected_chi = 2 - 2 * descriptor.genus()

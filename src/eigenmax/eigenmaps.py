@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .meshcore import MeshError
+from .meshcore import MeshError, components, edge_endpoints
 
 
 class EigenmapError(MeshError):
@@ -168,21 +168,9 @@ def nodal_domain_count(values, mesh, rel_tol=1e-10):
     sign = np.zeros(mesh.n_vertices, dtype=int)
     sign[u > rel_tol * scale] = 1
     sign[u < -rel_tol * scale] = -1
-    parent = np.arange(mesh.n_vertices)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in mesh.edge_lengths:
-        if sign[a] != 0 and sign[a] == sign[b]:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    roots = {find(v) for v in range(mesh.n_vertices) if sign[v] != 0}
-    return len(roots)
+    a, b = edge_endpoints(mesh)
+    same = (sign[a] != 0) & (sign[a] == sign[b])
+    return components(np.flatnonzero(sign), a[same], b[same])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -488,32 +476,12 @@ def boundary_trace_extrema(values, mesh):
 def fixed_ovals(mesh, tau):
     """Connected components of the involution's fixed vertex set (interior ovals)."""
     perm = mesh.actions[tau]
-    fixed = np.nonzero(perm == np.arange(mesh.n_vertices))[0]
-    boundary = set(int(x) for x in mesh.boundary_vertices())
-    fixed = [int(v) for v in fixed if v not in boundary]
-    fixed_set = set(fixed)
-    adj = {}
-    for a, b in mesh.edge_lengths:
-        if a in fixed_set and b in fixed_set:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-    seen = set()
-    ovals = []
-    for v in fixed:
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            for x in adj.get(w, []):
-                if x not in seen:
-                    seen.add(x)
-                    comp.append(x)
-                    stack.append(x)
-        ovals.append(sorted(comp))
-    return ovals
+    fixed = np.flatnonzero(perm == np.arange(mesh.n_vertices))
+    fixed = np.setdiff1d(fixed, mesh.boundary_vertices())
+    a, b = edge_endpoints(mesh)
+    on_fixed = np.isin(a, fixed) & np.isin(b, fixed)
+    count, labels = components(fixed, a[on_fixed], b[on_fixed])
+    return [fixed[labels == k].tolist() for k in range(count)]
 
 
 def morse_count_check(values, mesh, tau):

@@ -15,7 +15,7 @@ from .fem import (
     assemble_stiffness,
     solve_generalized,
 )
-from .meshcore import MeshError, SymmetricMesh, _edge_key
+from .meshcore import MeshError, SymmetricMesh, _edge_key, components, edge_endpoints
 
 
 class EquivariantError(MeshError):
@@ -32,15 +32,11 @@ class NonCommuting(EquivariantError):
 
 def vertex_orbits(mesh, names=None):
     """Orbit label of every vertex under the listed (or all) actions."""
-    # imported here: csgraph costs about 1 MB of resident memory at import
-    from scipy.sparse.csgraph import connected_components
-
     n = mesh.n_vertices
     perms = [mesh.actions[k] for k in (names or sorted(mesh.actions))]
     source = np.tile(np.arange(n), len(perms))
     target = np.concatenate(perms) if perms else source
-    graph = sp.coo_matrix((np.ones(len(source)), (source, target)), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
+    return components(np.arange(n), source, target)[1]
 
 
 def average_invariant(field, mesh, names=None):
@@ -174,29 +170,15 @@ def quotient_mesh(mesh, name):
     perm = _involution_perm(mesh, name)
     n = mesh.n_vertices
     fixed = perm == np.arange(n)
-    # connected components of the off-mirror part
-    comp = -np.ones(n, dtype=int)
-    adj = {}
-    for a, b in mesh.edge_lengths:
-        if not fixed[a] and not fixed[b]:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-    current = 0
-    for v in range(n):
-        if fixed[v] or comp[v] >= 0:
-            continue
-        stack = [v]
-        comp[v] = current
-        while stack:
-            u = stack.pop()
-            for w in adj.get(u, []):
-                if comp[w] < 0:
-                    comp[w] = current
-                    stack.append(w)
-        current += 1
-    if current != 2:
+    # connected components of the off-mirror part; side 0 holds its smallest vertex
+    free = np.flatnonzero(~fixed)
+    a, b = edge_endpoints(mesh)
+    inside = ~fixed[a] & ~fixed[b]
+    count, comp = components(free, a[inside], b[inside])
+    if count != 2:
         raise EquivariantError(f"{name} does not separate the surface into two sides")
-    side0 = comp == 0
+    side0 = np.zeros(n, dtype=bool)
+    side0[free[comp == 0]] = True
     keep = side0 | fixed
     new_index = -np.ones(n, dtype=int)
     new_index[keep] = np.arange(int(keep.sum()))

@@ -217,11 +217,86 @@ class GroupElement:
         return self.name()
 
 
-def _find_matrix(mats, m):
-    for idx, known in enumerate(mats):
-        if np.allclose(known, m, atol=MATRIX_TOL, rtol=0.0):
-            return idx
-    return -1
+def _lookup(bits, mats, cand_bits, cand_mats):
+    """Index of the first element equal to each candidate, or -1.
+
+    Two elements are equal when their tau bits agree and every matrix entry
+    agrees within MATRIX_TOL, as ``np.allclose(atol=MATRIX_TOL, rtol=0)``.
+    """
+    same = (cand_bits[:, None] == bits[None, :]) & np.all(
+        np.abs(cand_mats[:, None] - mats[None]) <= MATRIX_TOL, axis=(2, 3)
+    )
+    first = np.argmax(same, axis=1)
+    return np.where(same[np.arange(len(first)), first], first, -1)
+
+
+def _find(bits, mats, bit, m):
+    """Index of the first element equal to (bit, m), or -1."""
+    return int(_lookup(bits, mats, np.array([bit]), m[None])[0])
+
+
+@dataclass(frozen=True)
+class Closure:
+    """Elements of the group generated by (tau bit, matrix) pairs.
+
+    Elements appear in breadth-first order; each word is the shortlex-minimal
+    generator-index word of its element, and ``right[k, i]`` is the index of
+    element k times generator i.
+    """
+
+    bits: np.ndarray
+    matrices: np.ndarray
+    words: list
+    right: np.ndarray
+
+    @property
+    def order(self):
+        return len(self.words)
+
+    def left_table(self):
+        """``table[a, b]`` = index of element a times element b.
+
+        Column b folds ``right`` along b's word, extending the column of the
+        word's prefix, so no matrix is compared.
+        """
+        n = self.order
+        index = {word: k for k, word in enumerate(self.words)}
+        table = np.empty((n, n), dtype=int)
+        table[:, 0] = np.arange(n)
+        for b in range(1, n):
+            word = self.words[b]
+            table[:, b] = self.right[table[:, index[word[:-1]]], word[-1]]
+        return table
+
+
+def closure(gen_matrices, gen_bits=None, dimension=3):
+    """Breadth-first closure of the group generated by the given matrices.
+
+    Products are formed as element @ generator, frontier by frontier and
+    generator by generator; a product that matches no listed element is
+    appended with its word.  gen_bits are optional tau bits (added mod 2).
+    """
+    if gen_bits is None:
+        gen_bits = [0] * len(gen_matrices)
+    bits, mats, words, right = np.zeros(1, dtype=int), np.eye(dimension)[None], [()], []
+    frontier = [0]
+    while frontier:
+        new_frontier = []
+        for idx in frontier:
+            row = []
+            for i, (gb, gm) in enumerate(zip(gen_bits, gen_matrices)):
+                bit, m = (bits[idx] + gb) % 2, mats[idx] @ gm
+                k = _find(bits, mats, bit, m)
+                if k < 0:
+                    k = len(words)
+                    bits, mats = np.append(bits, bit), np.concatenate([mats, m[None]])
+                    words.append(words[idx] + (i,))
+                    new_frontier.append(k)
+                row.append(k)
+            right.append(row)
+        frontier = new_frontier
+    right = np.array(right, dtype=int).reshape(len(words), len(gen_matrices))
+    return Closure(bits, mats, words, right)
 
 
 def enumerate_elements(group, dimension=None):
@@ -233,36 +308,19 @@ def enumerate_elements(group, dimension=None):
     if dimension is None:
         dimension = 3
     action = standard_action(group, dimension)
-    eye = np.eye(dimension)
-    elements = [GroupElement((), eye, 1)]
-    mats = [eye]
-    frontier = [0]
-    while frontier:
-        new_frontier = []
-        for idx in frontier:
-            g = elements[idx]
-            for i in range(group.n_generators):
-                m = g.matrix @ action.matrix(i)
-                if _find_matrix(mats, m) < 0:
-                    word = g.word + (i,)
-                    elements.append(GroupElement(word, m, -g.parity))
-                    mats.append(m)
-                    new_frontier.append(len(mats) - 1)
-        frontier = new_frontier
-    return elements
+    c = closure(action.generator_matrices, dimension=dimension)
+    return [
+        GroupElement(word, m, (-1) ** len(word)) for word, m in zip(c.words, c.matrices)
+    ]
 
 
 def multiplication_table(elements):
     """table[a][b] = index of elements[a] * elements[b]."""
-    mats = [g.matrix for g in elements]
-    n = len(elements)
-    table = np.zeros((n, n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            idx = _find_matrix(mats, mats[a] @ mats[b])
-            if idx < 0:
-                raise GroupError("element set not closed under multiplication")
-            table[a, b] = idx
+    mats = np.array([g.matrix for g in elements])
+    bits = np.zeros(len(mats), dtype=int)
+    table = np.array([_lookup(bits, mats, bits, m @ mats) for m in mats], dtype=int)
+    if np.any(table < 0):
+        raise GroupError("element set not closed under multiplication")
     return table
 
 
@@ -293,7 +351,8 @@ class ProductWithTau:
         self.base = base_group
         self.base_elements = enumerate_elements(base_group, dimension)
         self.elements = [(t, g) for t in (0, 1) for g in self.base_elements]
-        self._mats = [g.matrix for g in self.base_elements]
+        self._mats = np.array([g.matrix for g in self.base_elements])
+        self._bits = np.zeros(len(self._mats), dtype=int)
 
     @property
     def order(self):
@@ -308,7 +367,7 @@ class ProductWithTau:
     def multiply(self, a, b):
         ta, ga = a
         tb, gb = b
-        idx = _find_matrix(self._mats, ga.matrix @ gb.matrix)
+        idx = _find(self._bits, self._mats, 0, ga.matrix @ gb.matrix)
         return ((ta + tb) % 2, self.base_elements[idx])
 
     def generators(self):

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 MIN_ANGLE_DEG = 1.0
 
@@ -48,6 +50,24 @@ class OverlappingDisks(MeshError):
 
 def _edge_key(a, b):
     return (a, b) if a < b else (b, a)
+
+
+def components(vertices, a, b):
+    """Connected components of the graph on the sorted vertex indices with edges a[k]-b[k].
+
+    Every endpoint must be one of the vertices.  Returns (count, labels), one
+    label per listed vertex; components are numbered in the order of their
+    smallest vertex.
+    """
+    a, b = np.searchsorted(vertices, a), np.searchsorted(vertices, b)
+    n = len(vertices)
+    graph = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
+def edge_endpoints(mesh):
+    """(a, b) integer arrays of the endpoints of every edge, in edge order."""
+    return np.array(list(mesh.edge_lengths), dtype=int).reshape(-1, 2).T
 
 
 class MeshGeometry:

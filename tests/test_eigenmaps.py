@@ -88,6 +88,42 @@ def test_nodal_domains():
     assert nodal_domain_count(np.ones(torus.n_vertices), torus) == 1
 
 
+def _union_find_nodal_count(u, mesh, rel_tol=1e-10):
+    scale = float(np.max(np.abs(u)))
+    sign = np.zeros(mesh.n_vertices, dtype=int)
+    sign[u > rel_tol * scale] = 1
+    sign[u < -rel_tol * scale] = -1
+    parent = np.arange(mesh.n_vertices)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in mesh.edge_lengths:
+        if sign[a] != 0 and sign[a] == sign[b]:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    return len({find(v) for v in range(mesh.n_vertices) if sign[v] != 0})
+
+
+def test_nodal_domain_count_matches_union_find():
+    torus = flat_torus(1)
+    x, y = torus.positions[:, 0], torus.positions[:, 1]
+    rng = np.random.default_rng(5)
+    fields = [
+        np.cos(2 * np.pi * k * x) * np.sin(2 * np.pi * m * y) for k, m in ((1, 1), (2, 3), (4, 1))
+    ]
+    fields.append(np.where(x < 0.3, 0.0, np.cos(6 * np.pi * y)))  # a zero band splits domains
+    fields.append(rng.normal(size=torus.n_vertices))
+    for u in fields:
+        count = nodal_domain_count(u, torus)
+        assert count == _union_find_nodal_count(u, torus)
+        assert type(count) is int
+
+
 def test_doubling_sphere_projection():
     mesh = round_sphere(2)
     comps = mesh.positions.copy()  # parity (+,+,-) under sz

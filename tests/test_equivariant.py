@@ -90,6 +90,31 @@ def test_quotient_mesh_halves():
     assert half.area() == pytest.approx(mesh.area() / 2, rel=1e-9)
 
 
+@pytest.mark.parametrize("name", ["tau", "rho1"])
+def test_quotient_mesh_keeps_side_of_smallest_vertex(name):
+    # reference: depth-first search of the off-mirror part in vertex order
+    mesh = build_mesh(closed_surface(make_group("onestar"), TypeB.make(f=1, e={0: 1})), 900)
+    perm = mesh.actions[name]
+    fixed = perm == np.arange(mesh.n_vertices)
+    adj = {}
+    for a, b in mesh.edge_lengths:
+        if not fixed[a] and not fixed[b]:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+    start = int(np.flatnonzero(~fixed)[0])
+    side0, stack = {start}, [start]
+    while stack:
+        for w in adj.get(stack.pop(), []):
+            if w not in side0:
+                side0.add(w)
+                stack.append(w)
+    keep = fixed.copy()
+    keep[sorted(side0)] = True
+    half, new_index = quotient_mesh(mesh, name)
+    assert np.array_equal(new_index >= 0, keep)
+    assert half.n_vertices == int(keep.sum())
+
+
 def test_labeled_first_matches_projection():
     mesh = build_mesh(sphere_family(1), 800)
     even, odd = parity_split_spectrum(mesh, "tau", count=5)
