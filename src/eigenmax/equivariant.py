@@ -114,7 +114,7 @@ def parity_split_spectrum(mesh, name, count=6, kind="laplace", seed=0):
         Kr = (R.T @ K @ R).tocsr()
         if kind == "laplace":
             Mr = np.asarray((R.T @ sp.diags(M) @ R).diagonal())
-            vals, vecs = solve_generalized(Kr, Mr, min(count, R.shape[1]), seed=seed)
+            vals, vecs, _ = solve_generalized(Kr, Mr, min(count, R.shape[1]), seed=seed)
             full = R @ vecs
             n_zero = int(np.sum(np.abs(vals) < 1e-8 * max(abs(vals[-1]), 1e-30)))
             out.append(Spectrum(vals, full, M, kind, n_zero=n_zero))

@@ -10,7 +10,10 @@ at the discrete level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ctypes
+import logging
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -18,6 +21,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DEFAULT_CLUSTER_TOL = 1e-3
+# LOBPCG of a warm-started solve stops at residuals |K u - lambda M u| below
+# WARM_RTOL * lambda * |M u| (lambda of the last start vector), ten times
+# inside the acceptance check; not converged after WARM_MAXITER iterations,
+# it gives way to a shift-invert solve
+WARM_RTOL = 1e-7
+WARM_MAXITER = 40
+
+log = logging.getLogger(__name__)
 
 
 class FemError(RuntimeError):
@@ -128,6 +139,9 @@ class Spectrum:
     kind: str
     n_zero: int = 0
     cluster_tol: float = DEFAULT_CLUSTER_TOL
+    # factorization of K - sigma*M made by the shift-invert solve of this
+    # spectrum; it preconditions warm-started solves of nearby densities
+    factor: object = field(default=None, repr=False, compare=False)
 
     def clusters(self):
         """Index ranges [start, end) grouping nonzero eigenvalues by relative gap."""
@@ -178,9 +192,49 @@ def _mass_orthonormalize(vals, vecs, mass):
     return vals, vecs
 
 
-def solve_generalized(K, M, count, tol=1e-9, seed=0, dense_cutoff=600):
+def spd_factor(A):
+    """Sparse LU factorization of a symmetric positive definite matrix.
+
+    An SPD matrix needs no pivoting, so the diagonal is taken as pivot and
+    the columns are ordered by minimum degree on A + A^T, which keeps L and U
+    near transposes of each other: on a 6728-vertex surface this has about
+    two thirds of the fill of the default pivoting factorization.
+    """
+    return spla.splu(
+        sp.csc_matrix(A),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+
+
+def release_factor(spectrum):
+    """Free the factorization a spectrum carries and return its pages to the system.
+
+    SuperLU reserves several times the memory a factorization fills.  A
+    factorization that outlived later allocations is freed in the middle of
+    the heap, where glibc keeps every touched page of that reservation
+    resident; malloc_trim returns them, where the C library has it.
+    """
+    if spectrum.factor is None:
+        return
+    spectrum.factor = None
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
+def solve_generalized(K, M, count, tol=1e-9, seed=0, dense_cutoff=600, start=None):
     """Lowest eigenpairs of K u = lambda M u, K sym PSD, M diagonal positive.
 
+    Returns (values, vectors, factor).  Up to dense_cutoff unknowns the pencil
+    is solved densely and factor is None.  Above it, shift-invert Lanczos
+    runs on the factorization of K - sigma*M (sigma < 0), which is returned
+    as factor.  start = (X, factor) of a nearby pencil, where X has at least
+    count columns, instead runs LOBPCG from the first count columns of X,
+    preconditioned by that factor, and returns no factor; if LOBPCG fails or
+    its residual is too large, the shift-invert solve is made after all.
     Deterministic: the Lanczos starting vector is drawn from a seeded
     generator.  count is clamped to the dimension.
     """
@@ -193,26 +247,66 @@ def solve_generalized(K, M, count, tol=1e-9, seed=0, dense_cutoff=600):
         raise FemError("count must be >= 1")
     if n <= dense_cutoff or count > n - 2:
         vals, vecs = scipy.linalg.eigh(K.toarray(), np.diag(M))
-        vals, vecs = vals[:count], vecs[:, :count]
-    else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        scale = K.diagonal().sum() / M.sum()
+        vals, vecs = _accept(K, M, vals[:count], vecs[:, :count], tol, "dense")
+        return vals, vecs, None
+    path = "shift-invert"
+    if start is not None and start[0].shape[1] >= count:
         try:
-            vals, vecs = spla.eigsh(
-                K,
-                k=count,
-                M=sp.diags(M),
-                sigma=-1e-3 * scale,
-                which="LM",
-                v0=v0,
-                tol=tol,
-                maxiter=5000,
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise NoConvergence(str(exc)) from exc
+            return _warm_solve(K, M, count, tol, *start)
+        except (ValueError, NoConvergence) as exc:  # LinAlgError is a ValueError
+            log.debug("warm solve failed (%s); solving afresh", exc)
+            path = "warm->fallback"
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n)
+    sigma = -1e-3 * K.diagonal().sum() / M.sum()
+    factor = spd_factor(K - sigma * sp.diags(M))
+    try:
+        vals, vecs = spla.eigsh(
+            K,
+            k=count,
+            M=sp.diags(M),
+            sigma=sigma,
+            which="LM",
+            v0=v0,
+            tol=tol,
+            maxiter=5000,
+            OPinv=spla.LinearOperator((n, n), matvec=factor.solve, dtype=float),
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise NoConvergence(str(exc)) from exc
+    vals, vecs = _accept(K, M, vals, vecs, tol, path)
+    return vals, vecs, factor
+
+
+def _warm_solve(K, M, count, tol, X, factor):
+    """LOBPCG from the first count columns of X, preconditioned by factor."""
+    X = np.array(X[:, :count])
+    top = X[:, -1]
+    lam_top = float(top @ (K @ top)) / float(top @ (M * top))
+    precondition = spla.LinearOperator(
+        K.shape, matvec=factor.solve, matmat=factor.solve, dtype=float
+    )
+    with warnings.catch_warnings():
+        # an unconverged result is caught by the residual check below
+        warnings.simplefilter("ignore", UserWarning)
+        vals, vecs, history = spla.lobpcg(
+            K,
+            X,
+            B=sp.diags(M),
+            M=precondition,
+            tol=WARM_RTOL * lam_top * np.sqrt(np.mean(M)),
+            maxiter=WARM_MAXITER,
+            largest=False,
+            retResidualNormsHistory=True,
+        )
+    return (*_accept(K, M, vals, vecs, tol, f"warm, {len(history)} LOBPCG iterations"), None)
+
+
+def _accept(K, M, vals, vecs, tol, path):
+    """Mass-orthonormalized eigenpairs, or NoConvergence if a residual is too large."""
     vals, vecs = _mass_orthonormalize(vals, vecs, M)
     res = _max_residual(K, M, vals, vecs)
+    log.debug("%s solve of %d eigenpairs, n=%d: max residual %.3g", path, len(vals), len(M), res)
     if res > max(1e3 * tol, 1e-7) * max(1.0, abs(vals[-1])):
         raise NoConvergence(f"residual {res} too large")
     return vals, vecs
@@ -230,8 +324,13 @@ def _zero_count(vals, scale):
     return int(np.sum(np.abs(vals) < tol))
 
 
-def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9):
-    """Laplace eigenvalues; zero mode included (and reported) unless Dirichlet."""
+def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start=None):
+    """Laplace eigenvalues; zero mode included (and reported) unless Dirichlet.
+
+    start, a spectrum of the same mesh at a nearby density that carries its
+    factorization, warm-starts the solve from its vectors (no Dirichlet
+    panels); the result then carries no factorization.
+    """
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
     fixed = set()
@@ -240,22 +339,24 @@ def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9):
     if fixed:
         free = np.array(sorted(set(range(mesh.n_vertices)) - fixed), dtype=int)
         Kf = K[free][:, free].tocsr()
-        vals, vecs_f = solve_generalized(Kf, M[free], count, tol=tol, seed=seed)
+        vals, vecs_f, factor = solve_generalized(Kf, M[free], count, tol=tol, seed=seed)
         vecs = np.zeros((mesh.n_vertices, vecs_f.shape[1]))
         vecs[free] = vecs_f
         n_zero = 0
     else:
-        vals, vecs = solve_generalized(K, M, count + 1, tol=tol, seed=seed)
+        warm = None
+        if start is not None and start.factor is not None:
+            warm = (start.vectors, start.factor)
+        vals, vecs, factor = solve_generalized(K, M, count + 1, tol=tol, seed=seed, start=warm)
         n_zero = _zero_count(vals, vals[-1])
-    return Spectrum(vals, vecs, M, "laplace", n_zero=n_zero)
+    return Spectrum(vals, vecs, M, "laplace", n_zero=n_zero, factor=factor)
 
 
 def _harmonic_solve(K, interior, boundary, rhs_at_boundary):
     """Solve K u = 0 with fixed boundary values (columns of rhs_at_boundary)."""
-    Kii = K[interior][:, interior].tocsc()
+    Kii = K[interior][:, interior]
     Kib = K[interior][:, boundary]
-    lu = spla.splu(Kii)
-    return lu, -lu.solve(Kib @ rhs_at_boundary)
+    return -spd_factor(Kii).solve(Kib @ rhs_at_boundary)
 
 
 @dataclass(frozen=True)
@@ -284,7 +385,7 @@ def _dirichlet_to_neumann(mesh, on_boundary, dirichlet_panels):
     i_loc = np.array(sorted(set(range(len(free))) - set(b_loc.tolist())), dtype=int)
     Kbb = K[b_loc][:, b_loc].toarray()
     Kbi = K[b_loc][:, i_loc]
-    _, Ui = _harmonic_solve(K, i_loc, b_loc, np.eye(len(b_loc)))
+    Ui = _harmonic_solve(K, i_loc, b_loc, np.eye(len(b_loc)))
     dtn = Kbb + Kbi @ Ui
     dtn = 0.5 * (dtn + dtn.T)
     for array in (steklov, dtn, Ui):
@@ -435,7 +536,7 @@ def harmonic_extension(mesh, boundary_values, panels=None):
     u = np.zeros(n)
     u[verts] = vals
     if len(interior):
-        _, ui = _harmonic_solve(K, interior, verts, vals[:, None])
+        ui = _harmonic_solve(K, interior, verts, vals[:, None])
         u[interior] = ui[:, 0]
     energy = float(u @ (K @ u))
     return u, energy

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fem
 
@@ -159,7 +158,7 @@ def gl_descent(
         live = w > 0
         rate = float(np.max(w[live] / M[live])) / state.eps**power
         dt = 0.4 / rate
-    solver = spla.splu((sp.diags(M) + dt * K).tocsc())
+    solver = fem.spd_factor(sp.diags(M) + dt * K)
     res0 = residual(replace(state, u=u), mesh)
     res = res_prev = res0
     halvings = 0
@@ -180,7 +179,7 @@ def gl_descent(
                 # halve the step and refactor
                 dt /= 2
                 halvings += 1
-                solver = spla.splu((sp.diags(M) + dt * K).tocsc())
+                solver = fem.spd_factor(sp.diags(M) + dt * K)
             res_prev = res
     if res > min(1e-4, 10 * tol) and res > 1e-3 * res0:
         raise Stalled(f"descent stalled at residual {res}")

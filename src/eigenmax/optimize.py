@@ -14,6 +14,7 @@ energy.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ from .equivariant import average_invariant
 
 DENSITY_FLOOR = 1e-6
 LINE_SEARCH_DROP = 1e-10
+
+log = logging.getLogger(__name__)
 
 
 class OptimizeError(RuntimeError):
@@ -170,9 +173,9 @@ def ascent_weights(lams, U, measure, total):
     return np.maximum(res.x[:m], 0.0)
 
 
-def _solve(mesh, kind, count, seed):
+def _solve(mesh, kind, count, seed, start=None):
     if kind == "laplace":
-        return fem.laplace_spectrum(mesh, count=count, seed=seed)
+        return fem.laplace_spectrum(mesh, count=count, seed=seed, start=start)
     return fem.steklov_spectrum(mesh, count=count, seed=seed)
 
 
@@ -257,6 +260,10 @@ def maximize(
         best = (mesh, value, residual, spec, (i, j), w)
         if residual < residual_tol:
             converged = True
+            log.debug(
+                "iteration %d: objective %.12g, residual %.3g, cluster [%d, %d), converged",
+                it, value, residual, i, j,
+            )
             break
         # candidate updates, each guarded by the same line search:
         #  1. multiply the density by the flattened squares profile;
@@ -269,6 +276,8 @@ def maximize(
             candidates.append(("mult", w_asc))
         candidates.append(("replace", w))
         accepted = None
+        move = "stalled"
+        trials = 0
         for mode, w_try in candidates:
             F_try = (U**2) @ w_try
             c_try = float(
@@ -310,7 +319,9 @@ def maximize(
                 except Exception:
                     t /= 2
                     continue
-                tspec = _solve(trial, kind, max(4, j - i + 2), seed)
+                # warm-started from this iterate's spectrum and factorization
+                tspec = _solve(trial, kind, max(4, j - i + 2), seed, start=spec)
+                trials += 1
                 tvalue = _objective(trial, kind, tspec)
                 gain = tvalue - value
                 # accept real progress; tolerate a sub-roundoff drop only for
@@ -319,16 +330,24 @@ def maximize(
                     t == 1.0 and gain >= -LINE_SEARCH_DROP * scale
                 ):
                     accepted = (trial, rho_t, tvalue)
+                    move = f"accepted {mode} at t={t:g}"
                     break
                 t /= 2
             if accepted is not None:
                 break
+        # the factorization served this iteration's trials; free it before the next
+        fem.release_factor(spec)
+        log.debug(
+            "iteration %d: objective %.12g, residual %.3g, cluster [%d, %d), %s, %d trial solves",
+            it, value, residual, i, j, move, trials,
+        )
         if accepted is None:
             flag = "stalled-below-tolerance"
             break
         mesh, rho, value = accepted
         window = min(0.3, max(cluster_tol, residual))
     mesh, value, residual, spec, (i, j), w = best
+    fem.release_factor(spec)
     # multiplicities are only resolved to the achieved extremality residual:
     # cluster at a tolerance matched to it (never below the solver tolerance)
     spec.cluster_tol = max(cluster_tol, 2.0 * residual)

@@ -66,14 +66,14 @@ def test_solve_generalized_small():
 
     K = sp.diags([0.0, 1.0, 2.0]).tocsr()
     M = np.ones(3)
-    vals, vecs = solve_generalized(K, M, 2)
+    vals, vecs, _ = solve_generalized(K, M, 2)
     assert np.allclose(vals, [0.0, 1.0])
     # dense oracle on a random SPD pencil
     rng = np.random.default_rng(11)
     A = rng.standard_normal((200, 200))
     K = sp.csr_matrix(A @ A.T + 200 * np.eye(200))
     M = rng.uniform(0.5, 2.0, 200)
-    vals, vecs = solve_generalized(K, M, 5)
+    vals, vecs, _ = solve_generalized(K, M, 5)
     import scipy.linalg
 
     dense = scipy.linalg.eigh(K.toarray(), np.diag(M), eigvals_only=True)
@@ -229,3 +229,61 @@ def test_mixed_steklov_cache_keys_on_the_panels():
     assert clamped.n_zero == 0 and free.n_zero == 1
     assert clamped.eigenvalues[0] > free.first_nonzero() - 1e-12
     assert np.count_nonzero(both.mass) == 2 * np.count_nonzero(free.mass)
+
+
+def _bumped_sphere(height):
+    # level 3 has 642 vertices: above the dense cutoff, so solves are sparse
+    from eigenmax.equivariant import average_invariant
+
+    mesh = round_sphere(3)
+    bump = np.exp(-np.sum((mesh.positions - [0.0, 0.0, 1.0]) ** 2, axis=1) / 0.1)
+    return mesh.with_density(average_invariant(1.0 + (height - 1.0) * bump, mesh))
+
+
+def test_solve_generalized_sparse_path_matches_dense():
+    import scipy.linalg
+
+    mesh = _bumped_sphere(5.0)
+    K, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    assert K.shape[0] > 600
+    vals, vecs, factor = solve_generalized(K, M, 9)
+    assert factor is not None
+    dense = scipy.linalg.eigh(K.toarray(), np.diag(M), eigvals_only=True)[:9]
+    assert abs(vals[0]) < 1e-8 * dense[-1]
+    assert np.allclose(vals[1:], dense[1:], rtol=1e-8, atol=0)
+    assert np.allclose(vecs.T @ (M[:, None] * vecs), np.eye(9), atol=1e-8)
+
+
+def _warm_and_fresh(start_height, height, count=6):
+    start = laplace_spectrum(_bumped_sphere(start_height), count=8)
+    mesh = _bumped_sphere(height)
+    return laplace_spectrum(mesh, count, start=start), laplace_spectrum(mesh, count)
+
+
+def test_warm_start_from_a_far_density_finds_the_lowest_eigenvalues(caplog):
+    # the start is the uniform density, the target has a 100:1 bump
+    with caplog.at_level("DEBUG", logger="eigenmax.fem"):
+        warm, fresh = _warm_and_fresh(1.0, 100.0)
+    assert any(r.getMessage().startswith("warm, ") for r in caplog.records)
+    assert warm.factor is None and fresh.factor is not None
+    assert warm.n_zero == fresh.n_zero == 1
+    assert np.allclose(warm.eigenvalues[1:], fresh.eigenvalues[1:], rtol=1e-10, atol=0)
+    M = warm.mass
+    assert np.allclose(warm.vectors.T @ (M[:, None] * warm.vectors), np.eye(7), atol=1e-8)
+
+
+@pytest.mark.parametrize("failure", ["raises", "not converged"])
+def test_failed_warm_start_falls_back_to_a_fresh_solve(monkeypatch, caplog, failure):
+    import eigenmax.fem as fem
+
+    def broken_lobpcg(A, X, **kwargs):
+        if failure == "raises":
+            raise np.linalg.LinAlgError("forced failure")
+        # the start block itself, whose residuals fail the acceptance check
+        return np.ones(X.shape[1]), X, []
+
+    monkeypatch.setattr(fem.spla, "lobpcg", broken_lobpcg)
+    with caplog.at_level("DEBUG", logger="eigenmax.fem"):
+        warm, fresh = _warm_and_fresh(1.0, 3.0)
+    assert any(r.getMessage().startswith("warm->fallback") for r in caplog.records)
+    assert np.array_equal(warm.eigenvalues, fresh.eigenvalues)

@@ -179,3 +179,29 @@ def test_gap_report_genus_two():
     assert report["exceeds_clifford"] is True
     assert "lawson_area_bound" in report
     assert report["verdict"] == "strict"
+
+
+def test_warm_started_trials_match_fresh_solves(monkeypatch, capsys):
+    import eigenmax.fem as fem
+
+    genus_two = closed_surface(make_group("onestar"), TypeB.make(f=1, e={0: 1}))
+    mesh = build_mesh(genus_two, target_vertices=400)
+    assert mesh.n_vertices > 600  # above the dense cutoff
+    solve = fem.laplace_spectrum
+    warm_calls = []
+
+    def checked(trial, count=8, seed=0, start=None, **kwargs):
+        spec = solve(trial, count, seed=seed, start=start, **kwargs)
+        if start is not None:
+            assert start.factor is not None and spec.factor is None
+            fresh = solve(trial, count, seed=seed)
+            assert np.allclose(spec.eigenvalues[1:], fresh.eigenvalues[1:], rtol=1e-10, atol=0)
+            warm_calls.append(count)
+        return spec
+
+    monkeypatch.setattr(fem, "laplace_spectrum", checked)
+    state, _, spec = maximize(mesh, "laplace", max_iters=3)
+    assert state.iterations == 3 and warm_calls
+    # no factorization leaves the ascent, and nothing is printed by default
+    assert spec.factor is None
+    assert capsys.readouterr() == ("", "")
