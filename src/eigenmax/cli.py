@@ -284,7 +284,7 @@ def cmd_spectrum(args):
         spec = fem.mixed_spectrum(mesh, bc, count=count, seed=args.seed)
         kind_for_norm = "steklov" if "steklov" in bc.values() else "laplace"
     elif args.kind == "steklov":
-        spec = fem.steklov_spectrum(mesh, count=count, seed=args.seed)
+        spec = fem.steklov_spectrum(mesh, count=count)
         kind_for_norm = "steklov"
     else:
         spec = fem.laplace_spectrum(mesh, count=count, seed=args.seed)

@@ -12,33 +12,6 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 
-class MeshingFailed(RuntimeError):
-    pass
-
-
-def circle_sdf(center, radius):
-    center = np.asarray(center, dtype=float)
-
-    def d(p):
-        return np.hypot(p[:, 0] - center[0], p[:, 1] - center[1]) - radius
-
-    return d
-
-
-def intersection_sdf(*parts):
-    def d(p):
-        return np.max([f(p) for f in parts], axis=0)
-
-    return d
-
-
-def complement_sdf(part):
-    def d(p):
-        return -part(p)
-
-    return d
-
-
 def _unique_bars(tri):
     bars = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
     bars.sort(axis=1)
@@ -127,32 +100,27 @@ def _drop_unused(p, tri):
     return p[used], remap[tri]
 
 
-def min_angle_deg(p, tri):
-    a = p[tri[:, 0]]
-    b = p[tri[:, 1]]
-    c = p[tri[:, 2]]
+def _corner_angles_deg(p, tri):
+    """(m, 3) angle in degrees at each corner of the planar triangles."""
+    a, b, c = p[tri[:, 0]], p[tri[:, 1]], p[tri[:, 2]]
     angles = []
     for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-        e1 = v - u
-        e2 = w - u
+        e1, e2 = v - u, w - u
         cosang = np.sum(e1 * e2, axis=1) / np.maximum(
             np.hypot(*e1.T) * np.hypot(*e2.T), 1e-300
         )
         angles.append(np.degrees(np.arccos(np.clip(cosang, -1, 1))))
-    return float(np.min(angles))
+    return np.column_stack(angles)
+
+
+def min_angle_deg(p, tri):
+    return float(np.min(_corner_angles_deg(p, tri)))
 
 
 def _strip_slivers(p, tri, nfix, threshold=2.0):
     """Drop boundary triangles below the angle threshold (rare distmesh slivers)."""
     for _ in range(4):
-        a, b, c = p[tri[:, 0]], p[tri[:, 1]], p[tri[:, 2]]
-        bad = np.zeros(len(tri), dtype=bool)
-        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            e1, e2 = v - u, w - u
-            cosang = np.sum(e1 * e2, axis=1) / np.maximum(
-                np.hypot(*e1.T) * np.hypot(*e2.T), 1e-300
-            )
-            bad |= np.degrees(np.arccos(np.clip(cosang, -1, 1))) < threshold
+        bad = np.any(_corner_angles_deg(p, tri) < threshold, axis=1)
         if not np.any(bad):
             break
         tri = tri[~bad]

@@ -93,7 +93,7 @@ def _triangle_frames(mesh):
     """Local 2D coordinates of each triangle from its reference lengths."""
     la, lb, lc = mesh.all_triangle_lengths()
     # vertices at (0,0), (lc,0), (x,y) with |AC| = lb, |BC| = la
-    x = (lb**2 + lc**2 - la**2) / (2 * lc)
+    x = mesh.geometry.corner_dots[:, 0] / (2 * lc)
     y = np.sqrt(np.maximum(lb**2 - x**2, 1e-300))
     return lc, x, y
 
@@ -206,25 +206,28 @@ def doubling_projection_check(components, mesh, tau, parity, samples=200, seed=0
     else:
         scale = float(np.max(np.linalg.norm(E, axis=1)))
         P = E / max(scale, 1e-300)
-    off_tris = [t for t in mesh.triangles if not any(fixed[v] for v in t)]
+    off_tris = mesh.triangles[~np.any(fixed[mesh.triangles], axis=1)]
+    A, B, C = (P[off_tris[:, k]] for k in range(3))
+    if spherical:
+        center = A + B + C
+        normals = np.cross(A, B), np.cross(B, C), np.cross(C, A)
     counts = []
     for _ in range(samples):
         if spherical:
             q = rng.standard_normal(3)
             q /= np.linalg.norm(q)
+            d1, d2, d3 = (n @ q for n in normals)
+            # a triangle on the far hemisphere would count its antipode
+            facing = center @ q > 0
         else:
             q = rng.standard_normal(2)
             q *= rng.random() ** 0.5 * 0.8 / np.linalg.norm(q)
-        c = 0
-        for t in off_tris:
-            a, b, d = P[t[0]], P[t[1]], P[t[2]]
-            if spherical:
-                if _in_spherical_triangle(q, a, b, d):
-                    c += 1
-            else:
-                if _in_planar_triangle(q, a, b, d):
-                    c += 1
-        counts.append(c)
+            d1 = _cross2((B - A).T, (q - A).T)
+            d2 = _cross2((C - B).T, (q - B).T)
+            d3 = _cross2((A - C).T, (q - C).T)
+            facing = True
+        inside = ((d1 > 0) & (d2 > 0) & (d3 > 0)) | ((d1 < 0) & (d2 < 0) & (d3 < 0))
+        counts.append(int(np.count_nonzero(inside & facing)))
     counts = np.asarray(counts)
     covered = counts[counts > 0]
     mode = int(np.bincount(covered).argmax()) if len(covered) else 0
@@ -251,22 +254,6 @@ def doubling_projection_check(components, mesh, tau, parity, samples=200, seed=0
 
 def _cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
-
-
-def _in_planar_triangle(q, a, b, c):
-    d1 = _cross2(b - a, q - a)
-    d2 = _cross2(c - b, q - b)
-    d3 = _cross2(a - c, q - c)
-    return (d1 > 0 and d2 > 0 and d3 > 0) or (d1 < 0 and d2 < 0 and d3 < 0)
-
-
-def _in_spherical_triangle(q, a, b, c):
-    if np.dot(q, a + b + c) <= 0:
-        return False  # wrong hemisphere (otherwise the antipode is counted)
-    d1 = np.dot(np.cross(a, b), q)
-    d2 = np.dot(np.cross(b, c), q)
-    d3 = np.dot(np.cross(c, a), q)
-    return (d1 > 0 and d2 > 0 and d3 > 0) or (d1 < 0 and d2 < 0 and d3 < 0)
 
 
 def odd_nodal_set_on_fixed(values, mesh, tau, rel_tol=1e-8):
@@ -346,27 +333,6 @@ def _cycle_order(mesh, oval):
 # Piecewise-linear Morse structure
 # ---------------------------------------------------------------------------
 
-def _vertex_star_layout(mesh, v, star):
-    """Flatten the triangles around v isometrically (cone rescaled to 2 pi)."""
-    angles = []
-    ring_edges = []
-    for t in star:
-        t = [int(x) for x in t]
-        k = t.index(v)
-        a, b = t[(k + 1) % 3], t[(k + 2) % 3]
-        la = mesh.edge_lengths[_key(v, a)]
-        lb = mesh.edge_lengths[_key(v, b)]
-        lab = mesh.edge_lengths[_key(a, b)]
-        cosang = (la**2 + lb**2 - lab**2) / (2 * la * lb)
-        angles.append(np.arccos(np.clip(cosang, -1, 1)))
-        ring_edges.append((a, b, la, lb))
-    return angles, ring_edges
-
-
-def _key(a, b):
-    return (a, b) if a < b else (b, a)
-
-
 def interior_critical_vertices(values, mesh):
     """Vertices whose piecewise-linear gradient cone contains zero.
 
@@ -376,63 +342,53 @@ def interior_critical_vertices(values, mesh):
     """
     u = np.asarray(values, dtype=float)
     boundary = set(int(x) for x in mesh.boundary_vertices())
+    tri = mesh.triangles.tolist()
+    # star of each vertex: its (triangle, corner) pairs in triangle order
     stars = {}
-    for t in mesh.triangles:
-        for v in t:
-            stars.setdefault(int(v), []).append(t)
+    for ti, t in enumerate(tri):
+        for k, v in enumerate(t):
+            stars.setdefault(v, []).append((ti, k))
+    angles = np.arccos(np.clip(mesh.corner_cosines(), -1, 1))
+    lengths = mesh.geometry.lengths
     out = []
     for v, star in stars.items():
         if v in boundary:
             continue
-        angles, ring = _vertex_star_layout(mesh, v, star)
-        total = sum(angles)
-        scale = 2 * np.pi / total
-        # rebuild the ring in order: follow shared neighbors
-        order = _order_star(v, star)
+        scale = 2 * np.pi / sum(angles[ti, k] for ti, k in star)
+        order = _order_star(tri, star)
         if order is None:
             continue
         theta = 0.0
         grads = []
-        pos = {}
-        for t in order:
-            t = [int(x) for x in t]
-            k = t.index(v)
-            a, b = t[(k + 1) % 3], t[(k + 2) % 3]
-            la = mesh.edge_lengths[_key(v, a)]
-            lb = mesh.edge_lengths[_key(v, b)]
-            lab = mesh.edge_lengths[_key(a, b)]
-            ang = np.arccos(np.clip((la**2 + lb**2 - lab**2) / (2 * la * lb), -1, 1))
+        for ti, k in order:
+            a, b = tri[ti][(k + 1) % 3], tri[ti][(k + 2) % 3]
+            # |va| and |vb| are the lengths opposite corners k+2 and k+1
+            la, lb = lengths[ti, (k + 2) % 3], lengths[ti, (k + 1) % 3]
+            ang = angles[ti, k]
             pa = np.array([la * np.cos(theta * scale), la * np.sin(theta * scale)])
             pb = np.array(
                 [lb * np.cos((theta + ang) * scale), lb * np.sin((theta + ang) * scale)]
             )
             grads.append(_planar_gradient(np.zeros(2), pa, pb, u[v], u[a], u[b]))
             theta += ang
-        if _zero_in_cone(np.asarray(grads), u, v, star):
+        if _zero_in_cone(np.asarray(grads)):
             out.append(v)
     return out
 
 
-def _order_star(v, star):
-    nxt = {}
-    for t in star:
-        t = [int(x) for x in t]
-        k = t.index(v)
-        nxt[t[(k + 1) % 3]] = t
-    start_t = star[0]
-    t0 = [int(x) for x in start_t]
-    k = t0.index(v)
-    first = t0[(k + 1) % 3]
+def _order_star(tri, star):
+    """The (triangle, corner) pairs of a star in cyclic order, or None if it is not a disk."""
+    nxt = {tri[ti][(k + 1) % 3]: (ti, k) for ti, k in star}
+    ti, k = star[0]
+    cur = tri[ti][(k + 1) % 3]
     order = []
-    cur = first
     for _ in range(len(star)):
-        t = nxt.get(cur)
-        if t is None:
+        corner = nxt.get(cur)
+        if corner is None:
             return None
-        order.append(t)
-        tl = [int(x) for x in t]
-        k = tl.index(v)
-        cur = tl[(k + 2) % 3]
+        order.append(corner)
+        ti, k = corner
+        cur = tri[ti][(k + 2) % 3]
     return order
 
 
@@ -442,7 +398,7 @@ def _planar_gradient(p0, p1, p2, u0, u1, u2):
     return np.linalg.solve(mat, rhs)
 
 
-def _zero_in_cone(grads, u, v, star):
+def _zero_in_cone(grads):
     norms = np.linalg.norm(grads, axis=1)
     scale = float(np.max(norms))
     if scale < 1e-13:

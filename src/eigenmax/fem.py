@@ -20,6 +20,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .meshcore import _frozen
+
 DEFAULT_CLUSTER_TOL = 1e-3
 # LOBPCG of a warm-started solve stops at residuals |K u - lambda M u| below
 # WARM_RTOL * lambda * |M u| (lambda of the last start vector), ten times
@@ -81,16 +83,27 @@ def _cotangent_stiffness(mesh):
 
 def assemble_mass(mesh):
     """Lumped mass diagonal: rho_i * (1/3) * sum of adjacent reference areas."""
-    return mesh.geometry.cached("mass", lambda: _lumped_mass(mesh)) * mesh.density
+    return _reference_mass(mesh) * mesh.density
 
 
-def _lumped_mass(mesh):
-    areas = mesh.reference_areas()
-    diag = np.zeros(mesh.n_vertices)
-    for k in range(3):
-        np.add.at(diag, mesh.triangles[:, k], areas / 3.0)
-    diag.flags.writeable = False
-    return diag
+def _reference_mass(mesh):
+    return mesh.geometry.cached(
+        "mass", lambda: _frozen(_lump(mesh, mesh.triangles, mesh.reference_areas()))
+    )
+
+
+def _lump(mesh, cells, per_cell):
+    """Per-vertex sums of an equal share of the value of each adjacent cell.
+
+    cells are the (k, 3) triangles or (k, 2) edges.  A vertex adds its shares
+    corner by corner and, within a corner, in cell order: the order of
+    np.add.at applied corner by corner.
+    """
+    corners = cells.shape[1]
+    share = per_cell / corners
+    return np.bincount(
+        cells.T.ravel(), weights=np.tile(share, corners), minlength=mesh.n_vertices
+    )
 
 
 def assemble_boundary_mass(mesh, panels=None):
@@ -99,34 +112,21 @@ def assemble_boundary_mass(mesh, panels=None):
     panels selects the Steklov part of the boundary; by default every
     boundary panel that is not a mirror is included.
     """
-    diag = mesh.geometry.cached(
-        ("boundary_mass", _panel_key(panels)), lambda: _lumped_boundary_mass(mesh, panels)
-    )
-    return diag * np.sqrt(mesh.density)
+    if len(mesh.steklov_edges(panels)[0]) == 0:
+        raise NoBoundary("no boundary panels selected")
+    return _reference_boundary_mass(mesh, panels) * np.sqrt(mesh.density)
 
 
 def _panel_key(panels):
     return None if panels is None else frozenset(panels)
 
 
-def _lumped_boundary_mass(mesh, panels):
-    diag = np.zeros(mesh.n_vertices)
-    found = False
-    # sorted, so the sums do not depend on the panel dict's insertion order
-    for e, lab in sorted(mesh.panels.items()):
-        if panels is None:
-            if lab.startswith("mirror:"):
-                continue
-        elif lab not in panels:
-            continue
-        found = True
-        l = mesh.edge_lengths[e]
-        diag[e[0]] += 0.5 * l
-        diag[e[1]] += 0.5 * l
-    if not found:
-        raise NoBoundary("no boundary panels selected")
-    diag.flags.writeable = False
-    return diag
+def _reference_boundary_mass(mesh, panels):
+    """Half the adjacent Steklov edge lengths per vertex (zero off them)."""
+    return mesh.geometry.cached(
+        ("boundary_mass", _panel_key(panels)),
+        lambda: _frozen(_lump(mesh, *mesh.steklov_edges(panels))),
+    )
 
 
 @dataclass
@@ -333,11 +333,9 @@ def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start
     """
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
-    fixed = set()
-    for lab in dirichlet_panels:
-        fixed.update(mesh.panel_vertices(lab).tolist())
-    if fixed:
-        free = np.array(sorted(set(range(mesh.n_vertices)) - fixed), dtype=int)
+    on_free = _free_vertices(mesh, dirichlet_panels)
+    if not np.all(on_free):
+        free = np.flatnonzero(on_free)
         Kf = K[free][:, free].tocsr()
         vals, vecs_f, factor = solve_generalized(Kf, M[free], count, tol=tol, seed=seed)
         vecs = np.zeros((mesh.n_vertices, vecs_f.shape[1]))
@@ -350,6 +348,14 @@ def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start
         vals, vecs, factor = solve_generalized(K, M, count + 1, tol=tol, seed=seed, start=warm)
         n_zero = _zero_count(vals, vals[-1])
     return Spectrum(vals, vecs, M, "laplace", n_zero=n_zero, factor=factor)
+
+
+def _free_vertices(mesh, dirichlet_panels):
+    """Boolean mask of the vertices on none of the Dirichlet panels."""
+    on_free = np.ones(mesh.n_vertices, dtype=bool)
+    for lab in dirichlet_panels:
+        on_free[mesh.panel_vertices(lab)] = False
+    return on_free
 
 
 def _harmonic_solve(K, interior, boundary, rhs_at_boundary):
@@ -371,18 +377,15 @@ class _DirichletToNeumann:
 
 
 def _dirichlet_to_neumann(mesh, on_boundary, dirichlet_panels):
-    n = mesh.n_vertices
-    fixed = set()
-    for lab in dirichlet_panels:
-        fixed.update(mesh.panel_vertices(lab).tolist())
-    steklov = np.array([i for i in np.nonzero(on_boundary)[0] if i not in fixed], dtype=int)
+    on_free = _free_vertices(mesh, dirichlet_panels)
+    free = np.flatnonzero(on_free)
+    # positions in free of the Steklov vertices and of the remaining ones
+    b_loc = np.flatnonzero(on_boundary[free])
+    i_loc = np.flatnonzero(~on_boundary[free])
+    steklov = free[b_loc]
     if len(steklov) == 0:
         raise AllDirichlet("no Steklov vertices remain")
-    free = np.array(sorted(set(range(n)) - fixed), dtype=int)
     K = assemble_stiffness(mesh)[free][:, free].tocsr()
-    loc = {v: k for k, v in enumerate(free)}
-    b_loc = np.array([loc[v] for v in steklov], dtype=int)
-    i_loc = np.array(sorted(set(range(len(free))) - set(b_loc.tolist())), dtype=int)
     Kbb = K[b_loc][:, b_loc].toarray()
     Kbi = K[b_loc][:, i_loc]
     Ui = _harmonic_solve(K, i_loc, b_loc, np.eye(len(b_loc)))
@@ -390,10 +393,10 @@ def _dirichlet_to_neumann(mesh, on_boundary, dirichlet_panels):
     dtn = 0.5 * (dtn + dtn.T)
     for array in (steklov, dtn, Ui):
         array.flags.writeable = False
-    return _DirichletToNeumann(steklov, free[i_loc], dtn, Ui, bool(fixed))
+    return _DirichletToNeumann(steklov, free[i_loc], dtn, Ui, not np.all(on_free))
 
 
-def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=(), seed=0):
+def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=()):
     """Steklov / mixed-Steklov eigenvalues via the boundary Schur complement.
 
     The pencil is K u = sigma B u with B supported on the Steklov panels;
@@ -443,9 +446,7 @@ def mixed_spectrum(mesh, bc, count=8, seed=0):
     steklov = [lab for lab, c in bc.items() if c == "steklov"]
     dirichlet = [lab for lab, c in bc.items() if c == "dirichlet"]
     if steklov:
-        return steklov_spectrum(
-            mesh, count, steklov_panels=steklov, dirichlet_panels=dirichlet, seed=seed
-        )
+        return steklov_spectrum(mesh, count, steklov_panels=steklov, dirichlet_panels=dirichlet)
     return laplace_spectrum(mesh, count, dirichlet_panels=dirichlet, seed=seed)
 
 
@@ -455,7 +456,7 @@ def normalized_first(mesh, kind="laplace", spectrum=None, count=8, seed=0):
         spectrum = (
             laplace_spectrum(mesh, count, seed=seed)
             if kind == "laplace"
-            else steklov_spectrum(mesh, count, seed=seed)
+            else steklov_spectrum(mesh, count)
         )
     lam = spectrum.first_nonzero()
     if kind == "laplace":
@@ -480,32 +481,16 @@ def dirichlet_energy_density(mesh, U):
         diff = U[i] - U[j]
         energy += 0.5 * cot[:, corner] * np.sum(diff**2, axis=1)
     density_t = energy / area  # piecewise-constant |grad|^2
-    out = np.zeros(mesh.n_vertices)
-    weight = np.zeros(mesh.n_vertices)
-    for k in range(3):
-        np.add.at(out, tri[:, k], density_t * area / 3.0)
-        np.add.at(weight, tri[:, k], area / 3.0)
-    return out / np.maximum(weight, 1e-300)
+    return _lump(mesh, tri, density_t * area) / np.maximum(_reference_mass(mesh), 1e-300)
 
 
 def boundary_energy_density(mesh, U, panels=None):
     """Vertex-lumped squared tangential derivative along the Steklov boundary."""
     U = np.atleast_2d(np.asarray(U, dtype=float).T).T
-    out = np.zeros(mesh.n_vertices)
-    weight = np.zeros(mesh.n_vertices)
-    for e, lab in mesh.panels.items():
-        if panels is None:
-            if lab.startswith("mirror:"):
-                continue
-        elif lab not in panels:
-            continue
-        a, b = e
-        l = mesh.edge_lengths[e]
-        val = float(np.sum((U[a] - U[b]) ** 2)) / l**2
-        out[a] += val * l / 2
-        out[b] += val * l / 2
-        weight[a] += l / 2
-        weight[b] += l / 2
+    edges, lengths = mesh.steklov_edges(panels)
+    val = np.sum((U[edges[:, 0]] - U[edges[:, 1]]) ** 2, axis=1) / lengths**2
+    out = _lump(mesh, edges, val * lengths)
+    weight = _reference_boundary_mass(mesh, panels)
     sel = weight > 0
     out[sel] /= weight[sel]
     return out, sel

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
+from .meshcore import weighted_area
 
 
 class GLError(RuntimeError):
@@ -229,10 +230,7 @@ def induced_density(state):
 def energy_area_slack(state, mesh):
     """1/2 * area(induced density) - E_eps(u); nonnegative at critical points."""
     rho = np.maximum(induced_density(state), 0.0)
-    areas = mesh.reference_areas()
-    rho_mean = rho[mesh.triangles].mean(axis=1)
-    half_area = 0.5 * float(np.sum(areas * rho_mean))
-    return half_area - gl_energy(state, mesh)
+    return 0.5 * weighted_area(mesh, rho) - gl_energy(state, mesh)
 
 
 def sweepout(u0, a):

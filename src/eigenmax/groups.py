@@ -78,9 +78,6 @@ class ReflectionGroup:
     def order(self):
         return group_order(self)
 
-    def generator_names(self):
-        return [f"rho{i + 1}" for i in range(self.n_generators)]
-
     def label(self):
         if self.kind == "trivial":
             return "Trivial"

@@ -122,18 +122,28 @@ class MeshGeometry:
         return _frozen(np.sqrt(np.maximum(s * (s - la) * (s - lb) * (s - lc), 0.0)))
 
     @cached_property
+    def corner_dots(self):
+        """(m, 3) y**2 + z**2 - x**2 at each corner, x the opposite length and
+        y, z the adjacent ones: 2*y*z times the cosine of the corner angle (law
+        of cosines).  Cotangents, cosines, angles and triangle frames derive from it."""
+        return _frozen(np.column_stack([y**2 + z**2 - x**2 for x, y, z in _corners(*self.lengths.T)]))
+
+    @cached_property
     def cotangents(self):
         """(m, 3) cotangent of the reference angle at each corner."""
-        la, lb, lc = self.lengths.T
         four_area = 4.0 * np.maximum(self.areas, 1e-150)
-        corners = ((la, lb, lc), (lb, lc, la), (lc, la, lb))
-        return _frozen(np.column_stack([(y**2 + z**2 - x**2) / four_area for x, y, z in corners]))
+        return _frozen(self.corner_dots / four_area[:, None])
 
     def cached(self, key, build):
         """The value stored under key; build() makes it on the first request only."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
+
+
+def _corners(la, lb, lc):
+    """(x, y, z) for corners 0, 1, 2: the opposite length, then the two adjacent ones."""
+    return (la, lb, lc), (lb, lc, la), (lc, la, lb)
 
 
 def _frozen(array):
@@ -210,9 +220,7 @@ class SymmetricMesh:
         self.geometry = MeshGeometry(self.n_vertices, self.triangles, self.edge_lengths)
 
     def _check_quality(self):
-        la, lb, lc = self.all_triangle_lengths()
-        for x, y, z in ((la, lb, lc), (lb, lc, la), (lc, la, lb)):
-            cosang = (y**2 + z**2 - x**2) / (2 * y * z)
+        for cosang in self.corner_cosines().T:
             if np.any(cosang > np.cos(np.deg2rad(MIN_ANGLE_DEG))):
                 worst = int(np.argmax(cosang))
                 raise DegenerateTriangle(
@@ -224,6 +232,11 @@ class SymmetricMesh:
     def all_triangle_lengths(self):
         """Read-only (la, lb, lc): per triangle, the lengths opposite corners 0, 1, 2."""
         return tuple(self.geometry.lengths.T)
+
+    def corner_cosines(self):
+        """(m, 3) cosine of the reference angle at each corner (law of cosines)."""
+        two_yz = np.column_stack([2 * y * z for _, y, z in _corners(*self.all_triangle_lengths())])
+        return self.geometry.corner_dots / two_yz
 
     def reference_areas(self):
         """Per-triangle area of the reference metric (Heron); read-only."""
@@ -261,21 +274,28 @@ class SymmetricMesh:
         return out
 
     def area(self):
-        areas = self.reference_areas()
-        rho_mean = self.density[self.triangles].mean(axis=1)
-        return float(np.sum(areas * rho_mean))
+        return weighted_area(self, self.density)
+
+    def steklov_edges(self, labels=None):
+        """Read-only (k, 2) endpoints and (k,) reference lengths of the Steklov
+        boundary edges, in sorted edge order: the edges of the panels named in
+        labels or, by default, of every panel that is not a mirror.
+        Density-independent, so selected once per geometry and choice of labels."""
+        key = ("steklov_edges", None if labels is None else frozenset(labels))
+        return self.geometry.cached(key, lambda: self._select_edges(labels))
+
+    def _select_edges(self, labels):
+        edges = [
+            e for e, lab in sorted(self.panels.items())
+            if (not lab.startswith("mirror:") if labels is None else lab in labels)
+        ]
+        lengths = np.array([self.edge_lengths[e] for e in edges], dtype=float)
+        return _frozen(np.array(edges, dtype=np.int64).reshape(-1, 2)), _frozen(lengths)
 
     def boundary_length(self, labels=None):
-        total = 0.0
-        for e, lab in self.panels.items():
-            if labels is not None and lab not in labels:
-                continue
-            if labels is None and lab.startswith("mirror:"):
-                continue
-            a, b = e
-            w = 0.5 * (np.sqrt(self.density[a]) + np.sqrt(self.density[b]))
-            total += self.edge_lengths[e] * w
-        return float(total)
+        edges, lengths = self.steklov_edges(labels)
+        root = np.sqrt(self.density)
+        return float(np.sum(lengths * (0.5 * (root[edges[:, 0]] + root[edges[:, 1]]))))
 
     # -- actions ---------------------------------------------------------------
 
@@ -338,6 +358,11 @@ class SymmetricMesh:
     def load(path):
         with open(path) as fh:
             return SymmetricMesh.from_json(json.load(fh))
+
+
+def weighted_area(mesh, rho):
+    """Area of the metric rho times the reference metric, rho averaged per triangle."""
+    return float(np.sum(mesh.reference_areas() * rho[mesh.triangles].mean(axis=1)))
 
 
 def mesh_from_positions(positions, triangles, panels=None, actions=None, meta=None):
@@ -412,14 +437,6 @@ class GluedMetricSpec:
     eps: float
     L: float
     pairs: list  # list of (vertex in parent, vertex in attached or None-parent)
-
-
-def _vertex_star(mesh, v):
-    tris = [i for i, t in enumerate(mesh.triangles) if v in t]
-    ring = set()
-    for i in tris:
-        ring.update(int(x) for x in mesh.triangles[i] if x != v)
-    return tris, ring
 
 
 def _ordered_ring(mesh, v):

@@ -22,6 +22,7 @@ from scipy.optimize import minimize
 
 from . import fem
 from .equivariant import average_invariant
+from .meshcore import weighted_area
 
 DENSITY_FLOOR = 1e-6
 LINE_SEARCH_DROP = 1e-10
@@ -176,7 +177,7 @@ def ascent_weights(lams, U, measure, total):
 def _solve(mesh, kind, count, seed, start=None):
     if kind == "laplace":
         return fem.laplace_spectrum(mesh, count=count, seed=seed, start=start)
-    return fem.steklov_spectrum(mesh, count=count, seed=seed)
+    return fem.steklov_spectrum(mesh, count=count)
 
 
 def _objective(mesh, kind, spectrum):
@@ -291,7 +292,7 @@ def maximize(
                 else:
                     target = fem.dirichlet_energy_density(mesh, U * np.sqrt(w_try))
                 target = average_invariant(target, mesh)
-                target *= mesh.area() / _area_of(mesh, target)
+                target *= mesh.area() / weighted_area(mesh, target)
                 target = np.maximum(target, DENSITY_FLOOR * float(np.mean(target)))
             else:
                 beta = np.sqrt(rho)
@@ -365,11 +366,6 @@ def maximize(
         weights=list(w),
     )
     return state, mesh, spec
-
-
-def _area_of(mesh, rho):
-    areas = mesh.reference_areas()
-    return float(np.sum(areas * rho[mesh.triangles].mean(axis=1)))
 
 
 def moduli_sweep(params, factory, kind="laplace", **options):

@@ -239,3 +239,73 @@ def test_oval_convexity_report():
     assert len(report) == 1
     assert report[0]["convex_fraction"] is not None
     assert report[0]["convex_fraction"] > 0.95
+
+
+def _critical_vertices_loop(values, mesh):
+    # the per-vertex star layout interior_critical_vertices used before it
+    # read the corner angles from the mesh's law-of-cosines kernel
+    from eigenmax.eigenmaps import _planar_gradient, _zero_in_cone
+
+    def key(a, b):
+        return (a, b) if a < b else (b, a)
+
+    def star_angle(v, a, b):
+        la, lb = mesh.edge_lengths[key(v, a)], mesh.edge_lengths[key(v, b)]
+        lab = mesh.edge_lengths[key(a, b)]
+        return la, lb, np.arccos(np.clip((la**2 + lb**2 - lab**2) / (2 * la * lb), -1, 1))
+
+    def ordered(v, star):
+        nxt = {}
+        for t in star:
+            nxt[t[(t.index(v) + 1) % 3]] = t
+        cur = star[0][(star[0].index(v) + 1) % 3]
+        order = []
+        for _ in range(len(star)):
+            t = nxt.get(cur)
+            if t is None:
+                return None
+            order.append(t)
+            cur = t[(t.index(v) + 2) % 3]
+        return order
+
+    u = np.asarray(values, dtype=float)
+    boundary = set(int(x) for x in mesh.boundary_vertices())
+    stars = {}
+    for t in mesh.triangles.tolist():
+        for v in t:
+            stars.setdefault(v, []).append(t)
+    out = []
+    for v, star in stars.items():
+        if v in boundary:
+            continue
+        total = sum(star_angle(v, t[(t.index(v) + 1) % 3], t[(t.index(v) + 2) % 3])[2] for t in star)
+        scale = 2 * np.pi / total
+        order = ordered(v, star)
+        if order is None:
+            continue
+        theta = 0.0
+        grads = []
+        for t in order:
+            k = t.index(v)
+            a, b = t[(k + 1) % 3], t[(k + 2) % 3]
+            la, lb, ang = star_angle(v, a, b)
+            pa = np.array([la * np.cos(theta * scale), la * np.sin(theta * scale)])
+            pb = np.array([lb * np.cos((theta + ang) * scale), lb * np.sin((theta + ang) * scale)])
+            grads.append(_planar_gradient(np.zeros(2), pa, pb, u[v], u[a], u[b]))
+            theta += ang
+        if _zero_in_cone(np.asarray(grads)):
+            out.append(v)
+    return out
+
+
+def test_interior_critical_vertices_match_star_layout_loop():
+    rng = np.random.default_rng(3)
+    found = 0
+    for mesh in (unit_disk(2), conformal_annulus(CATENOID_T / np.pi, 1)):
+        spec = steklov_spectrum(mesh, count=3)
+        fields = [spec.vectors[:, 1], spec.vectors[:, 2], rng.standard_normal(mesh.n_vertices)]
+        for u in fields:
+            expected = _critical_vertices_loop(u, mesh)
+            assert interior_critical_vertices(u, mesh) == expected
+            found += len(expected)
+    assert found > 0

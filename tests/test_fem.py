@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eigenmax.builtins import flat_cylinder, flat_torus, round_sphere, unit_disk
 from eigenmax.fem import (
@@ -8,6 +9,8 @@ from eigenmax.fem import (
     assemble_boundary_mass,
     assemble_mass,
     assemble_stiffness,
+    boundary_energy_density,
+    dirichlet_energy_density,
     harmonic_extension,
     laplace_spectrum,
     mixed_spectrum,
@@ -287,3 +290,141 @@ def test_failed_warm_start_falls_back_to_a_fresh_solve(monkeypatch, caplog, fail
         warm, fresh = _warm_and_fresh(1.0, 3.0)
     assert any(r.getMessage().startswith("warm->fallback") for r in caplog.records)
     assert np.array_equal(warm.eigenvalues, fresh.eigenvalues)
+
+
+# -- the measures computed by one kernel each, against the loops they replaced
+
+
+def _reference_meshes():
+    from eigenmax.builtins import conformal_annulus
+    from eigenmax.chambers import build_mesh
+    from eigenmax.cli import parse_descriptor
+    from eigenmax.equivariant import average_invariant, quotient_mesh
+
+    rng = np.random.default_rng(5)
+    meshes = [
+        round_sphere(2),
+        unit_disk(2),
+        flat_cylinder(1.0, 1),
+        build_mesh(parse_descriptor("N_tau(1*,1+rho1)"), target_vertices=500),
+        # "free" and "mirror:tau" panels: the default selection skips the mirror
+        quotient_mesh(conformal_annulus(0.4, 1), "tau")[0],
+    ]
+    for mesh in meshes:
+        rho = average_invariant(np.exp(0.3 * rng.standard_normal(mesh.n_vertices)), mesh)
+        yield mesh.with_density(rho), rng.standard_normal((mesh.n_vertices, 3))
+
+
+def _cotangents_loop(mesh):
+    la, lb, lc = mesh.all_triangle_lengths()
+    s = 0.5 * (la + lb + lc)
+    four_area = 4.0 * np.maximum(np.sqrt(np.maximum(s * (s - la) * (s - lb) * (s - lc), 0.0)), 1e-150)
+    corners = ((la, lb, lc), (lb, lc, la), (lc, la, lb))
+    return np.column_stack([(y**2 + z**2 - x**2) / four_area for x, y, z in corners])
+
+
+def _stiffness_loop(mesh, cot):
+    tri = mesh.triangles.astype(np.int32)
+    rows, cols, vals = [], [], []
+    for corner in range(3):
+        i, j = tri[:, (corner + 1) % 3], tri[:, (corner + 2) % 3]
+        w = 0.5 * cot[:, corner]
+        rows += [i, j, i, j]
+        cols += [j, i, i, j]
+        vals += [-w, -w, w, w]
+    n = mesh.n_vertices
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+
+
+def _lumped_mass_loop(mesh):
+    diag = np.zeros(mesh.n_vertices)
+    for k in range(3):
+        np.add.at(diag, mesh.triangles[:, k], mesh.reference_areas() / 3.0)
+    return diag
+
+
+def _steklov_panel_edges(mesh, panels, ordered):
+    items = sorted(mesh.panels.items()) if ordered else mesh.panels.items()
+    for e, lab in items:
+        if (lab.startswith("mirror:") if panels is None else lab not in panels):
+            continue
+        yield e, mesh.edge_lengths[e]
+
+
+def _lumped_boundary_mass_loop(mesh, panels=None):
+    diag = np.zeros(mesh.n_vertices)
+    for (a, b), l in _steklov_panel_edges(mesh, panels, ordered=True):
+        diag[a] += 0.5 * l
+        diag[b] += 0.5 * l
+    return diag
+
+
+def _energy_density_loop(mesh, U, cot):
+    area = np.maximum(mesh.reference_areas(), 1e-150)
+    tri = mesh.triangles
+    energy = np.zeros(len(tri))
+    for corner in range(3):
+        diff = U[tri[:, (corner + 1) % 3]] - U[tri[:, (corner + 2) % 3]]
+        energy += 0.5 * cot[:, corner] * np.sum(diff**2, axis=1)
+    density_t = energy / area
+    out = np.zeros(mesh.n_vertices)
+    weight = np.zeros(mesh.n_vertices)
+    for k in range(3):
+        np.add.at(out, tri[:, k], density_t * area / 3.0)
+        np.add.at(weight, tri[:, k], area / 3.0)
+    return out / np.maximum(weight, 1e-300)
+
+
+def _boundary_length_loop(mesh, labels=None):
+    total = 0.0
+    for (a, b), l in _steklov_panel_edges(mesh, labels, ordered=False):
+        total += l * 0.5 * (np.sqrt(mesh.density[a]) + np.sqrt(mesh.density[b]))
+    return float(total)
+
+
+def _boundary_energy_density_loop(mesh, U, panels=None):
+    out = np.zeros(mesh.n_vertices)
+    weight = np.zeros(mesh.n_vertices)
+    for (a, b), l in _steklov_panel_edges(mesh, panels, ordered=False):
+        val = float(np.sum((U[a] - U[b]) ** 2)) / l**2
+        for v in (a, b):
+            out[v] += val * l / 2
+            weight[v] += l / 2
+    sel = weight > 0
+    out[sel] /= weight[sel]
+    return out, sel
+
+
+def test_operators_are_bitwise_equal_to_the_loops_they_replaced():
+    for mesh, U in _reference_meshes():
+        cot = _cotangents_loop(mesh)
+        assert np.array_equal(mesh.geometry.cotangents, cot)
+        K, K_loop = assemble_stiffness(mesh), _stiffness_loop(mesh, cot)
+        assert np.array_equal(K.indptr, K_loop.indptr)
+        assert np.array_equal(K.indices, K_loop.indices)
+        assert np.array_equal(K.data, K_loop.data)
+        assert np.array_equal(assemble_mass(mesh), _lumped_mass_loop(mesh) * mesh.density)
+        assert np.array_equal(dirichlet_energy_density(mesh, U), _energy_density_loop(mesh, U, cot))
+        if mesh.has_boundary():
+            B_ref = _lumped_boundary_mass_loop(mesh)
+            assert np.array_equal(assemble_boundary_mass(mesh), B_ref * np.sqrt(mesh.density))
+
+
+def test_boundary_measures_match_the_loops_they_replaced():
+    checked = 0
+    for mesh, U in _reference_meshes():
+        if not mesh.has_boundary():
+            continue
+        selections = [None] + [[lab] for lab in mesh.panel_labels()]
+        for panels in selections:
+            assert mesh.boundary_length(panels) == pytest.approx(
+                _boundary_length_loop(mesh, panels), rel=1e-14, abs=0.0
+            )
+            out, sel = boundary_energy_density(mesh, U, panels)
+            ref, ref_sel = _boundary_energy_density_loop(mesh, U, panels)
+            assert np.array_equal(sel, ref_sel)
+            assert np.allclose(out, ref, rtol=1e-14, atol=0.0)
+            checked += 1
+    assert checked >= 9

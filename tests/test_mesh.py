@@ -10,6 +10,7 @@ from eigenmax.builtins import (
     unit_disk,
 )
 from eigenmax.meshcore import (
+    DegenerateTriangle,
     GluedMetricSpec,
     MeshError,
     NonInvariantDensity,
@@ -171,6 +172,24 @@ def test_invalid_triangles_rejected():
     pos5 = pos + [(0.5, -1, 0)]
     with pytest.raises(MeshError, match=r"non-manifold edge \(0, 1\)"):
         mesh_from_positions(pos5, [(0, 1, 2), (1, 0, 3), (0, 1, 4)])
+
+
+def test_triangle_with_an_angle_below_one_degree_is_rejected():
+    pos = np.zeros((4, 3))
+    # triangle 1 has the angle opposite its 0.01 side at vertex 2
+    lengths = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0, (2, 3): 1.0, (0, 3): 0.01}
+    with pytest.raises(DegenerateTriangle, match="triangle 1 has an angle below 1.0 degrees"):
+        SymmetricMesh(pos, [(0, 1, 2), (0, 2, 3)], lengths)
+    # at 0.02 the angle is about 1.15 degrees
+    lengths[(0, 3)] = 0.02
+    SymmetricMesh(pos, [(0, 1, 2), (0, 2, 3)], lengths)
+
+
+def test_lengths_violating_the_triangle_inequality_are_rejected():
+    pos = np.zeros((3, 3))
+    lengths = {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 3.0}
+    with pytest.raises(DegenerateTriangle, match="triangle inequality"):
+        SymmetricMesh(pos, [(0, 1, 2)], lengths)
 
 
 def test_quotient_half_is_complete_at_construction(monkeypatch):
