@@ -15,7 +15,11 @@ from scipy.spatial import Delaunay
 def _unique_bars(tri):
     bars = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
     bars.sort(axis=1)
-    return np.unique(bars, axis=0)
+    # one int64 key a*n + b per bar sorts as the rows (a, b) do, and a 1-D
+    # unique is several times faster than np.unique(bars, axis=0)
+    n = int(bars.max()) + 1 if len(bars) else 1
+    keys = np.unique(bars[:, 0].astype(np.int64) * n + bars[:, 1])
+    return np.column_stack([keys // n, keys % n]).astype(tri.dtype)
 
 
 def _triangulate(p, fd, geps):

@@ -9,10 +9,10 @@ import scipy.sparse as sp
 from .fem import (
     DEFAULT_CLUSTER_TOL,
     Spectrum,
-    _mass_orthonormalize,
     assemble_boundary_mass,
     assemble_mass,
     assemble_stiffness,
+    boundary_eigenpairs,
     solve_generalized,
 )
 from .meshcore import MeshError, SymmetricMesh, _edge_key, components, edge_endpoints
@@ -130,8 +130,6 @@ def _steklov_in_subspace(mesh, K, B, R, count, seed):
     solved on the B-positive subspace after eliminating the K-harmonic
     directions by Schur complement in the reduced coordinates).
     """
-    import scipy.linalg
-
     Kr = (R.T @ K @ R).toarray()
     Br = np.asarray((R.T @ sp.diags(B) @ R).diagonal())
     live = Br > 1e-14 * max(Br.max(), 1e-30)
@@ -145,9 +143,8 @@ def _steklov_in_subspace(mesh, K, B, R, count, seed):
     else:
         dtn = Kbb
     dtn = 0.5 * (dtn + dtn.T)
-    vals, traces = scipy.linalg.eigh(dtn, np.diag(Br[idx_b]))
-    k = min(count, len(vals))
-    vals, traces = vals[:k], traces[:, :k]
+    k = min(count, len(idx_b))
+    vals, traces = boundary_eigenpairs(dtn, Br[idx_b], k)
     coeff = np.zeros((Kr.shape[0], k))
     coeff[idx_b] = traces
     if len(idx_i):

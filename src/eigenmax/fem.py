@@ -13,7 +13,8 @@ from __future__ import annotations
 import ctypes
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -129,19 +130,32 @@ def _reference_boundary_mass(mesh, panels):
     )
 
 
-@dataclass
 class Spectrum:
-    """Ascending eigenvalues with mass-orthonormal vectors on the full vertex set."""
+    """Ascending eigenvalues with mass-orthonormal vectors on the full vertex set.
 
-    eigenvalues: np.ndarray
-    vectors: np.ndarray  # (n_vertices, k)
-    mass: np.ndarray  # diagonal of the mass/boundary-mass used for normalization
-    kind: str
-    n_zero: int = 0
-    cluster_tol: float = DEFAULT_CLUSTER_TOL
-    # factorization of K - sigma*M made by the shift-invert solve of this
-    # spectrum; it preconditions warm-started solves of nearby densities
-    factor: object = field(default=None, repr=False, compare=False)
+    vectors is the (n_vertices, k) array, or a function that returns it: then
+    it is called on the first read of Spectrum.vectors, and its result kept.
+    """
+
+    def __init__(
+        self, eigenvalues, vectors, mass, kind, n_zero=0, cluster_tol=DEFAULT_CLUSTER_TOL, factor=None
+    ):
+        self.eigenvalues = eigenvalues
+        if callable(vectors):
+            self._compute_vectors = vectors
+        else:
+            self.vectors = vectors
+        self.mass = mass  # diagonal of the mass/boundary-mass used for normalization
+        self.kind = kind
+        self.n_zero = n_zero
+        self.cluster_tol = cluster_tol
+        # factorization of K - sigma*M made by the shift-invert solve of this
+        # spectrum; it preconditions warm-started solves of nearby densities
+        self.factor = factor
+
+    @cached_property
+    def vectors(self):
+        return self._compute_vectors()
 
     def clusters(self):
         """Index ranges [start, end) grouping nonzero eigenvalues by relative gap."""
@@ -400,10 +414,11 @@ def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=()):
     """Steklov / mixed-Steklov eigenvalues via the boundary Schur complement.
 
     The pencil is K u = sigma B u with B supported on the Steklov panels;
-    eigenvectors are returned on the whole mesh as discrete harmonic
-    extensions of their boundary traces.  The Schur complement does not
-    depend on the density and is computed once per mesh geometry and
-    boundary-condition choice, so a solve is one dense boundary eigh.
+    eigenvectors are the discrete harmonic extensions of their boundary
+    traces.  The Schur complement does not depend on the density and is
+    computed once per mesh geometry and boundary-condition choice, so a solve
+    is the lowest count pairs of one dense boundary problem.  The traces are
+    extended into the interior on the first read of Spectrum.vectors.
     """
     if not mesh.has_boundary():
         raise NoBoundary("Steklov problem needs a boundary")
@@ -412,22 +427,40 @@ def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=()):
     dtn = mesh.geometry.cached(
         key, lambda: _dirichlet_to_neumann(mesh, B > 0, dirichlet_panels)
     )
-    n = mesh.n_vertices
     Bb = B[dtn.steklov]
     count = int(min(count, len(dtn.steklov)))
-    # Bb is diagonal and positive, so the pencil (dtn, Bb) is the standard
-    # problem for Bb^-1/2 dtn Bb^-1/2; numpy solves it, as it does every
-    # other dense product of a solve, so that scipy's separate BLAS thread
-    # pool does not contend with numpy's on every call
+    vals, traces = boundary_eigenpairs(dtn.dtn, Bb, count)
+    n_zero = 0 if dtn.has_dirichlet else _zero_count(vals, vals[-1] if len(vals) else 1.0)
+    n = mesh.n_vertices
+    extend = partial(_harmonic_vectors, dtn, traces, n)
+    return Spectrum(vals, extend, _embed(B, dtn.steklov, n), "steklov", n_zero=n_zero)
+
+
+def boundary_eigenpairs(dtn, Bb, count):
+    """Lowest count eigenpairs of the dense pencil dtn u = sigma Bb u.
+
+    Bb is diagonal and positive, so the pencil is the standard problem for
+    Bb^-1/2 dtn Bb^-1/2, of which LAPACK's dsyevr computes the wanted pairs
+    only.  Returns ascending values and Bb-orthonormal vectors.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    if count == 0:
+        return np.zeros(0), np.zeros((len(Bb), 0))
     scale = 1.0 / np.sqrt(Bb)
-    vals, modes = np.linalg.eigh(scale[:, None] * dtn.dtn * scale[None, :])
-    vals, traces = vals[:count], scale[:, None] * modes[:, :count]
-    vals, traces = _mass_orthonormalize(vals, traces, Bb)
-    vecs = np.zeros((n, count))
+    vals, modes = scipy.linalg.eigh(
+        scale[:, None] * dtn * scale[None, :], subset_by_index=[0, count - 1], driver="evr"
+    )
+    return _mass_orthonormalize(vals, scale[:, None] * modes, Bb)
+
+
+def _harmonic_vectors(dtn, traces, n):
+    """Full-mesh vectors: the traces on the Steklov vertices, their harmonic
+    extensions inside and zero on the Dirichlet panels."""
+    vecs = np.zeros((n, traces.shape[1]))
     vecs[dtn.steklov] = traces
     vecs[dtn.interior] = dtn.harmonic @ traces
-    n_zero = 0 if dtn.has_dirichlet else _zero_count(vals, vals[-1] if len(vals) else 1.0)
-    return Spectrum(vals, vecs, _embed(B, dtn.steklov, n), "steklov", n_zero=n_zero)
+    return vecs
 
 
 def _embed(B, idx, n):
@@ -509,15 +542,13 @@ def harmonic_extension(mesh, boundary_values, panels=None):
         verts, vals = boundary_values
         verts = np.asarray(verts, dtype=int)
         vals = np.asarray(vals, dtype=float)
-    if panels is not None:
-        panel_verts = set()
-        for lab in panels:
-            panel_verts.update(mesh.panel_vertices(lab).tolist())
-        if set(verts.tolist()) != panel_verts:
-            raise FemError("boundary values do not match the marked panels")
-    K = assemble_stiffness(mesh)
     n = mesh.n_vertices
-    interior = np.array(sorted(set(range(n)) - set(verts.tolist())), dtype=int)
+    marked = np.zeros(n, dtype=bool)
+    marked[verts] = True
+    if panels is not None and not np.array_equal(marked, ~_free_vertices(mesh, panels)):
+        raise FemError("boundary values do not match the marked panels")
+    K = assemble_stiffness(mesh)
+    interior = np.flatnonzero(~marked)
     u = np.zeros(n)
     u[verts] = vals
     if len(interior):

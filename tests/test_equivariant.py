@@ -214,3 +214,17 @@ def test_average_invariant_matches_orbit_loop():
             counts[r] = counts.get(r, 0) + 1
         expected = np.array([sums[r] / counts[r] for r in roots])
         assert np.array_equal(average_invariant(field, mesh), expected)
+
+
+def test_parity_split_steklov_sectors_reproduce_the_spectrum():
+    disk = unit_disk(2)
+    even, odd = parity_split_spectrum(disk, "sy", count=5, kind="steklov")
+    full = steklov_spectrum(disk, count=10)
+    merged = np.sort(np.concatenate([even.eigenvalues, odd.eigenvalues]))
+    assert np.allclose(merged[:7], full.eigenvalues[:7], rtol=1e-9, atol=1e-12)
+    assert even.n_zero == 1 and odd.n_zero == 0
+    perm = disk.actions["sy"]
+    for sector, sign in ((even, 1.0), (odd, -1.0)):
+        U = sector.vectors
+        assert np.allclose(U[perm], sign * U, atol=1e-12)
+        assert np.allclose(U.T @ (sector.mass[:, None] * U), np.eye(5), atol=1e-10)

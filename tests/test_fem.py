@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from eigenmax.builtins import flat_cylinder, flat_torus, round_sphere, unit_disk
+from eigenmax.builtins import conformal_annulus, flat_cylinder, flat_torus, round_sphere, unit_disk
 from eigenmax.fem import (
     AllDirichlet,
+    FemError,
     NoBoundary,
     assemble_boundary_mass,
     assemble_mass,
@@ -428,3 +429,167 @@ def test_boundary_measures_match_the_loops_they_replaced():
             assert np.allclose(out, ref, rtol=1e-14, atol=0.0)
             checked += 1
     assert checked >= 9
+
+
+def _dtn_key(steklov_panels=None, dirichlet_panels=()):
+    return ("dtn", None if steklov_panels is None else frozenset(steklov_panels), frozenset(dirichlet_panels))
+
+
+def _steklov_cases():
+    """(mesh, steklov_panels, dirichlet_panels): pure Steklov problems, and mixed
+    ones with Dirichlet conditions on a mirror of the half mesh."""
+    from eigenmax.chambers import build_mesh
+    from eigenmax.cli import parse_descriptor
+    from eigenmax.equivariant import average_invariant, quotient_mesh
+
+    cases = []
+    for mesh, mirror in (
+        (unit_disk(2), "sy"),
+        (conformal_annulus(1.1997 / np.pi, 1), "tau"),
+        (build_mesh(parse_descriptor("N_tau(1*,1+rho1)"), 600), "rho1"),
+    ):
+        rho = average_invariant(1.0 + 0.3 * mesh.positions[:, 0] ** 2, mesh)
+        half, _ = quotient_mesh(mesh, mirror)
+        cases += [
+            (mesh, None, ()),
+            (mesh.with_density(rho), None, ()),
+            (half, ["free"], [f"mirror:{mirror}"]),
+        ]
+    return cases
+
+
+def _full_eigh_oracle(dtn, Bb):
+    # every pair of the scaled standard problem, Bb-orthonormal
+    scale = 1.0 / np.sqrt(Bb)
+    vals, modes = np.linalg.eigh(scale[:, None] * dtn * scale[None, :])
+    return vals, scale[:, None] * modes
+
+
+def test_steklov_subset_solve_matches_a_full_eigh():
+    checked = 0
+    for mesh, steklov_panels, dirichlet_panels in _steklov_cases():
+        count = 9
+        spec = steklov_spectrum(mesh, count, steklov_panels, dirichlet_panels)
+        dtn = mesh.geometry.cached(_dtn_key(steklov_panels, dirichlet_panels), pytest.fail)
+        assert dtn.has_dirichlet == bool(dirichlet_panels)
+        Bb = assemble_boundary_mass(mesh, steklov_panels)[dtn.steklov]
+        vals, traces = _full_eigh_oracle(dtn.dtn, Bb)
+        assert len(spec.eigenvalues) == count
+        scale = np.max(np.abs(vals[:count]))
+        assert np.all(np.abs(spec.eigenvalues - vals[:count]) <= 1e-12 * scale)
+        got = spec.vectors[dtn.steklov]
+        assert np.allclose(got.T @ (Bb[:, None] * got), np.eye(count), atol=1e-10)
+        # the spanned eigenspaces agree on every cluster that count does not cut
+        i = 0
+        while i < count:
+            j = i + 1
+            while j < len(vals) and vals[j] - vals[j - 1] <= 1e-3 * scale:
+                j += 1
+            if j <= count:
+                overlap = got[:, i:j].T @ (Bb[:, None] * traces[:, i:j])
+                assert np.allclose(np.linalg.svd(overlap, compute_uv=False), 1.0, atol=1e-8)
+                checked += 1
+            i = j
+    assert checked >= 40
+
+
+def test_steklov_count_is_clamped_to_the_boundary_dofs():
+    mesh = unit_disk(1)
+    spec = steklov_spectrum(mesh, 10**6)
+    dtn = mesh.geometry.cached(_dtn_key(), pytest.fail)
+    dofs = len(dtn.steklov)
+    vals, _ = _full_eigh_oracle(dtn.dtn, assemble_boundary_mass(mesh)[dtn.steklov])
+    assert len(spec.eigenvalues) == dofs and spec.vectors.shape == (mesh.n_vertices, dofs)
+    assert np.allclose(spec.eigenvalues, vals, rtol=0, atol=1e-12 * vals[-1])
+    assert spec.n_zero == 1
+    empty = steklov_spectrum(mesh, 0)
+    assert empty.eigenvalues.shape == (0,) and empty.vectors.shape == (mesh.n_vertices, 0)
+    assert empty.n_zero == 0 and empty.clusters() == []
+    assert empty.to_json()["first_nonzero"] is None
+    with pytest.raises(FemError):
+        empty.first_nonzero()
+    with pytest.raises(ValueError):
+        steklov_spectrum(mesh, -1)
+
+
+def test_steklov_vectors_are_the_harmonic_extension_of_the_traces():
+    from eigenmax.fem import boundary_eigenpairs
+
+    for mesh, steklov_panels, dirichlet_panels in _steklov_cases():
+        spec = steklov_spectrum(mesh, 6, steklov_panels, dirichlet_panels)
+        dtn = mesh.geometry.cached(_dtn_key(steklov_panels, dirichlet_panels), pytest.fail)
+        Bb = assemble_boundary_mass(mesh, steklov_panels)[dtn.steklov]
+        vals, traces = boundary_eigenpairs(dtn.dtn, Bb, 6)
+        assert np.array_equal(spec.eigenvalues, vals)
+        expected = np.zeros((mesh.n_vertices, 6))
+        expected[dtn.steklov] = traces
+        expected[dtn.interior] = dtn.harmonic @ traces
+        first = spec.vectors
+        assert np.array_equal(first, expected)
+        assert spec.vectors is first
+
+
+class _NoExtension:
+    """Stands in for the interior harmonic extensions; fails when applied."""
+
+    def __matmul__(self, other):
+        raise AssertionError("interior extension computed")
+
+
+def test_eigenvalue_readers_do_not_extend_into_the_interior():
+    import dataclasses
+
+    mesh = unit_disk(2)
+    key = _dtn_key()
+    steklov_spectrum(mesh, 4)
+    dtn = mesh.geometry.cached(key, pytest.fail)
+    mesh.geometry._cache[key] = dataclasses.replace(dtn, harmonic=_NoExtension())
+    trial = mesh.with_density(1.0 + 0.5 * mesh.positions[:, 0] ** 2)
+    spec = steklov_spectrum(trial, 8)
+    assert normalized_first(trial, "steklov", spec) > 0
+    assert normalized_first(trial, "steklov") > 0
+    assert spec.to_json()["first_nonzero"] == spec.first_nonzero()
+    assert spec.clusters()[0][0] == spec.n_zero == 1
+    assert np.count_nonzero(spec.mass) == len(dtn.steklov)
+    with pytest.raises(AssertionError, match="interior extension"):
+        spec.vectors
+
+
+def _unique_bars_oracle(tri):
+    bars = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+    bars.sort(axis=1)
+    return np.unique(bars, axis=0)
+
+
+def test_unique_bars_matches_a_row_unique():
+    from scipy.spatial import Delaunay
+
+    from eigenmax.chambers import build_mesh
+    from eigenmax.cli import parse_descriptor
+    from eigenmax.distmesh import _unique_bars
+
+    rng = np.random.default_rng(3)
+    cases = [Delaunay(rng.random((n, 2))).simplices for n in (3, 40, 700)]
+    cases.append(rng.integers(0, 50, size=(300, 3)))
+    cases.append(rng.integers(0, 2**20, size=(500, 3)).astype(np.int32))
+    cases.append(np.zeros((0, 3), dtype=np.int32))
+    cases.append(build_mesh(parse_descriptor("N_tau(1*,1+rho1)"), 600).triangles)
+    cases.append(unit_disk(2).triangles)
+    for tri in cases:
+        got, want = _unique_bars(tri), _unique_bars_oracle(tri)
+        assert got.dtype == want.dtype == tri.dtype
+        assert np.array_equal(got, want)
+
+
+def test_harmonic_extension_checks_the_marked_panels():
+    mesh = flat_cylinder(1.0, 1)
+    end0 = mesh.panel_vertices("end0")
+    theta = np.arctan2(mesh.positions[end0, 1], mesh.positions[end0, 0])
+    u, energy = harmonic_extension(mesh, (end0, np.cos(theta)))
+    marked, marked_energy = harmonic_extension(mesh, (end0, np.cos(theta)), panels=["end0"])
+    assert np.array_equal(u, marked) and energy == marked_energy
+    as_dict = dict(zip(end0.tolist(), np.cos(theta)))
+    assert np.array_equal(harmonic_extension(mesh, as_dict, panels=["end0"])[0], u)
+    for verts, panels in ((end0, ["endL"]), (end0[1:], ["end0"]), (end0, ["end0", "endL"])):
+        with pytest.raises(FemError, match="do not match"):
+            harmonic_extension(mesh, (verts, np.ones(len(verts))), panels=panels)
