@@ -6,15 +6,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (
-    DEFAULT_CLUSTER_TOL,
-    Spectrum,
-    assemble_boundary_mass,
-    assemble_mass,
-    assemble_stiffness,
-    boundary_eigenpairs,
-    solve_generalized,
-)
+from .fem import assemble_boundary_mass, assemble_mass, assemble_stiffness, restricted_spectrum
 from .meshcore import MeshError, SymmetricMesh, _edge_key, components, edge_endpoints
 
 
@@ -30,23 +22,27 @@ class NonCommuting(EquivariantError):
     pass
 
 
-def vertex_orbits(mesh, names=None):
-    """Orbit label of every vertex under the listed (or all) actions."""
-    n = mesh.n_vertices
-    perms = [mesh.actions[k] for k in (names or sorted(mesh.actions))]
+def _orbits(n, perms):
+    """Orbit label of every vertex under the permutations, numbered in the
+    order of each orbit's smallest vertex."""
     source = np.tile(np.arange(n), len(perms))
     target = np.concatenate(perms) if perms else source
     return components(np.arange(n), source, target)[1]
 
 
-def average_invariant(field, mesh, names=None):
+def vertex_orbits(mesh):
+    """Orbit label of every vertex under all actions."""
+    return _orbits(mesh.n_vertices, [mesh.actions[k] for k in sorted(mesh.actions)])
+
+
+def average_invariant(field, mesh):
     """Group average of a vertex field; exactly invariant and idempotent.
 
     Implemented by assigning every vertex of an orbit the same orbit mean,
     so the output is a bitwise fixed point of the averaging.
     """
     field = np.asarray(field, dtype=float)
-    labels = vertex_orbits(mesh, names)
+    labels = vertex_orbits(mesh)
     means = np.bincount(labels, weights=field) / np.bincount(labels)
     return means[labels]
 
@@ -58,100 +54,55 @@ def _involution_perm(mesh, name):
     return perm
 
 
-def sector_basis(n, perms, signs):
-    """Sparse orthonormal basis of the joint (+/-) sector of commuting involutions.
-
-    Basis vectors are orbit sums weighted by the sign character; orbits on
-    which the character is inconsistent (fixed by an odd generator) drop out.
-    """
+def _check_commuting(perms):
     for pa in perms:
         for pb in perms:
             if not np.array_equal(pa[pb], pb[pa]):
                 raise NonCommuting("involutions must commute for a joint parity label")
-    # enumerate the little group generated by the involutions on each orbit
-    group = [np.arange(n)]
-    chars = [1.0]
-    for perm, sign in zip(perms, signs):
-        group = group + [g[perm] for g in group]
-        chars = chars + [c * sign for c in chars]
-    seen = np.zeros(n, dtype=bool)
-    rows, cols, vals = [], [], []
-    col = 0
-    for v in range(n):
-        if seen[v]:
-            continue
-        images = {}
-        consistent = True
-        for g, c in zip(group, chars):
-            w = int(g[v])
-            if w in images and images[w] != c:
-                consistent = False
-            images[w] = c
-        for w in images:
-            seen[w] = True
-        if not consistent:
-            continue
-        norm = 1.0 / np.sqrt(len(images))
-        for w, c in images.items():
-            rows.append(w)
-            cols.append(col)
-            vals.append(c * norm)
-        col += 1
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, col))
+
+
+def sector_basis(n, perms, signs):
+    """Sparse orthonormal basis of the joint (+/-) sector of commuting involutions.
+
+    Basis vectors are orbit sums weighted by the sign character, relative to
+    the orbit's smallest vertex, in the order of that vertex; orbits on which
+    the character is inconsistent (fixed by an odd generator) drop out.
+    """
+    _check_commuting(perms)
+    labels = _orbits(n, perms)
+    roots = np.unique(labels, return_index=True)[1]  # each orbit's smallest vertex
+    # the character of the element that carries each orbit's smallest vertex
+    # to a vertex; the group elements are the products of the involutions
+    sign = np.zeros(n)
+    consistent = np.ones(len(roots), dtype=bool)
+    group, chars = [np.arange(n)], [1.0]
+    for perm, s in zip(perms, signs):
+        group += [g[perm] for g in group]
+        chars += [c * s for c in chars]
+    for g, c in zip(group, chars):
+        images = g[roots]
+        consistent &= (sign[images] == 0) | (sign[images] == c)
+        sign[images] = c
+    norm = 1.0 / np.sqrt(np.bincount(labels))
+    columns = np.cumsum(consistent) - 1
+    rows = np.flatnonzero(consistent[labels])
+    orbit = labels[rows]
+    vals = sign[rows] * norm[orbit]
+    return sp.csr_matrix((vals, (rows, columns[orbit])), shape=(n, int(consistent.sum())))
 
 
 def parity_split_spectrum(mesh, name, count=6, kind="laplace", seed=0):
     """(even, odd) spectra of the problem restricted to the +/- subspaces."""
     perm = _involution_perm(mesh, name)
     K = assemble_stiffness(mesh)
-    if kind == "laplace":
-        M = assemble_mass(mesh)
-    else:
-        M = assemble_boundary_mass(mesh)
+    M = assemble_mass(mesh) if kind == "laplace" else assemble_boundary_mass(mesh)
     out = []
     for sign in (1.0, -1.0):
         R = sector_basis(mesh.n_vertices, [perm], [sign])
         Kr = (R.T @ K @ R).tocsr()
-        if kind == "laplace":
-            Mr = np.asarray((R.T @ sp.diags(M) @ R).diagonal())
-            vals, vecs, _ = solve_generalized(Kr, Mr, min(count, R.shape[1]), seed=seed)
-            full = R @ vecs
-            n_zero = int(np.sum(np.abs(vals) < 1e-8 * max(abs(vals[-1]), 1e-30)))
-            out.append(Spectrum(vals, full, M, kind, n_zero=n_zero))
-        else:
-            out.append(_steklov_in_subspace(mesh, K, M, R, count, seed))
+        Mr = np.asarray((R.T @ sp.diags(M) @ R).diagonal())
+        out.append(restricted_spectrum(kind, Kr, Mr, count, R.dot, M, seed))
     return out[0], out[1]
-
-
-def _steklov_in_subspace(mesh, K, B, R, count, seed):
-    """Steklov pencil restricted to a sector via dense reduction.
-
-    Small meshes only (the sector pencil K u = sigma B u is degenerate:
-    solved on the B-positive subspace after eliminating the K-harmonic
-    directions by Schur complement in the reduced coordinates).
-    """
-    Kr = (R.T @ K @ R).toarray()
-    Br = np.asarray((R.T @ sp.diags(B) @ R).diagonal())
-    live = Br > 1e-14 * max(Br.max(), 1e-30)
-    idx_b = np.nonzero(live)[0]
-    idx_i = np.nonzero(~live)[0]
-    Kbb = Kr[np.ix_(idx_b, idx_b)]
-    Kbi = Kr[np.ix_(idx_b, idx_i)]
-    Kii = Kr[np.ix_(idx_i, idx_i)]
-    if len(idx_i):
-        dtn = Kbb - Kbi @ np.linalg.solve(Kii, Kbi.T)
-    else:
-        dtn = Kbb
-    dtn = 0.5 * (dtn + dtn.T)
-    k = min(count, len(idx_b))
-    vals, traces = boundary_eigenpairs(dtn, Br[idx_b], k)
-    coeff = np.zeros((Kr.shape[0], k))
-    coeff[idx_b] = traces
-    if len(idx_i):
-        coeff[idx_i] = -np.linalg.solve(Kii, Kbi.T @ traces)
-    full = R @ coeff
-    n_zero = int(np.sum(np.abs(vals) < 1e-8 * max(abs(vals[-1]), 1e-30)))
-    return Spectrum(vals, full, B, "steklov", n_zero=n_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +189,7 @@ def labeled_first(mesh, labels, kind="laplace", count=6, seed=0):
     labels: dict involution name -> +1 | -1.  Involutions must commute.
     """
     names = sorted(labels)
-    perms = [_involution_perm(mesh, k) for k in names]
-    for pa in perms:
-        for pb in perms:
-            if not np.array_equal(pa[pb], pb[pa]):
-                raise NonCommuting("labels require commuting involutions")
+    _check_commuting([_involution_perm(mesh, k) for k in names])
     domain = mesh
     bc = {}
     for k in names:

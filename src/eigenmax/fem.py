@@ -13,7 +13,7 @@ from __future__ import annotations
 import ctypes
 import logging
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -343,25 +343,37 @@ def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start
 
     start, a spectrum of the same mesh at a nearby density that carries its
     factorization, warm-starts the solve from its vectors (no Dirichlet
-    panels); the result then carries no factorization.
+    panels); the result then carries no factorization.  With Dirichlet panels
+    the pencil is restricted to the free vertices, and the spectrum carries
+    no factorization.
     """
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
     on_free = _free_vertices(mesh, dirichlet_panels)
     if not np.all(on_free):
         free = np.flatnonzero(on_free)
-        Kf = K[free][:, free].tocsr()
-        vals, vecs_f, factor = solve_generalized(Kf, M[free], count, tol=tol, seed=seed)
-        vecs = np.zeros((mesh.n_vertices, vecs_f.shape[1]))
-        vecs[free] = vecs_f
-        n_zero = 0
-    else:
-        warm = None
-        if start is not None and start.factor is not None:
-            warm = (start.vectors, start.factor)
-        vals, vecs, factor = solve_generalized(K, M, count + 1, tol=tol, seed=seed, start=warm)
-        n_zero = _zero_count(vals, vals[-1])
-    return Spectrum(vals, vecs, M, "laplace", n_zero=n_zero, factor=factor)
+        lift = partial(_embed, index=free, n=mesh.n_vertices)
+        return restricted_spectrum("laplace", K[free][:, free].tocsr(), M[free], count, lift, M, seed, tol)
+    warm = None
+    if start is not None and start.factor is not None:
+        warm = (start.vectors, start.factor)
+    vals, vecs, factor = solve_generalized(K, M, count + 1, tol=tol, seed=seed, start=warm)
+    return Spectrum(vals, vecs, M, "laplace", n_zero=_zero_count(vals, vals[-1]), factor=factor)
+
+
+def restricted_spectrum(kind, K, M, count, lift, mesh_mass, seed=0, tol=1e-9):
+    """Spectrum of a problem restricted to reduced coordinates.
+
+    K is the sparse stiffness and M the diagonal mass (Laplace) or boundary
+    mass (Steklov) in those coordinates; lift maps a block of coordinate
+    vectors to mesh vectors, and mesh_mass is the mesh mass reported with
+    them.  Steklov vectors are extended and lifted on the first read of
+    Spectrum.vectors.
+    """
+    if kind == "laplace":
+        vals, vecs, _ = solve_generalized(K, M, count, tol=tol, seed=seed)
+        return Spectrum(vals, lift(vecs), mesh_mass, kind, n_zero=_zero_count(vals, vals[-1]))
+    return _dtn_spectrum(_dirichlet_to_neumann(K, M > 0), M, count, mesh_mass, lift)
 
 
 def _free_vertices(mesh, dirichlet_panels):
@@ -381,33 +393,39 @@ def _harmonic_solve(K, interior, boundary, rhs_at_boundary):
 
 @dataclass(frozen=True)
 class _DirichletToNeumann:
-    """Density-independent Schur complement of K onto the Steklov vertices."""
+    """Density-independent Schur complement of a stiffness onto its Steklov dofs."""
 
-    steklov: np.ndarray  # Steklov vertices (positive boundary mass, not Dirichlet)
-    interior: np.ndarray  # the remaining free vertices
+    steklov: np.ndarray  # Steklov dofs (positive boundary mass)
+    interior: np.ndarray  # the remaining dofs
     dtn: np.ndarray  # (s, s) symmetric Dirichlet-to-Neumann matrix
     harmonic: np.ndarray  # (i, s) interior values of the harmonic extensions
-    has_dirichlet: bool
 
 
-def _dirichlet_to_neumann(mesh, on_boundary, dirichlet_panels):
-    on_free = _free_vertices(mesh, dirichlet_panels)
-    free = np.flatnonzero(on_free)
-    # positions in free of the Steklov vertices and of the remaining ones
-    b_loc = np.flatnonzero(on_boundary[free])
-    i_loc = np.flatnonzero(~on_boundary[free])
-    steklov = free[b_loc]
-    if len(steklov) == 0:
+def _dirichlet_to_neumann(K, on_steklov):
+    """Schur complement of the sparse stiffness K onto the dofs marked by the
+    boolean mask on_steklov, and the harmonic extensions of its unit traces.
+
+    K restricted to the remaining (interior) dofs must be positive definite.
+    """
+    b = np.flatnonzero(on_steklov)
+    i = np.flatnonzero(~on_steklov)
+    if len(b) == 0:
         raise AllDirichlet("no Steklov vertices remain")
-    K = assemble_stiffness(mesh)[free][:, free].tocsr()
-    Kbb = K[b_loc][:, b_loc].toarray()
-    Kbi = K[b_loc][:, i_loc]
-    Ui = _harmonic_solve(K, i_loc, b_loc, np.eye(len(b_loc)))
+    Kbb = K[b][:, b].toarray()
+    Kbi = K[b][:, i]
+    Ui = _harmonic_solve(K, i, b, np.eye(len(b)))
     dtn = Kbb + Kbi @ Ui
     dtn = 0.5 * (dtn + dtn.T)
-    for array in (steklov, dtn, Ui):
-        array.flags.writeable = False
-    return _DirichletToNeumann(steklov, free[i_loc], dtn, Ui, not np.all(on_free))
+    return _DirichletToNeumann(_frozen(b), _frozen(i), _frozen(dtn), _frozen(Ui))
+
+
+def _mesh_dirichlet_to_neumann(mesh, on_boundary, dirichlet_panels):
+    """The Schur complement of K on the vertices off the Dirichlet panels,
+    its Steklov and interior dofs given as mesh vertices."""
+    free = np.flatnonzero(_free_vertices(mesh, dirichlet_panels))
+    K = assemble_stiffness(mesh)[free][:, free].tocsr()
+    dtn = _dirichlet_to_neumann(K, on_boundary[free])
+    return replace(dtn, steklov=_frozen(free[dtn.steklov]), interior=_frozen(free[dtn.interior]))
 
 
 def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=()):
@@ -425,15 +443,21 @@ def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=()):
     B = assemble_boundary_mass(mesh, steklov_panels)
     key = ("dtn", _panel_key(steklov_panels), frozenset(dirichlet_panels))
     dtn = mesh.geometry.cached(
-        key, lambda: _dirichlet_to_neumann(mesh, B > 0, dirichlet_panels)
+        key, lambda: _mesh_dirichlet_to_neumann(mesh, B > 0, dirichlet_panels)
     )
+    return _dtn_spectrum(dtn, B, count, _embed(B[dtn.steklov], dtn.steklov, mesh.n_vertices))
+
+
+def _dtn_spectrum(dtn, B, count, mass, lift=None):
+    """Lowest count Steklov pairs of a Schur complement; B is the boundary mass
+    on its coordinates.  Vectors are extended, and lifted to the mesh by lift,
+    on the first read of Spectrum.vectors."""
     Bb = B[dtn.steklov]
     count = int(min(count, len(dtn.steklov)))
     vals, traces = boundary_eigenpairs(dtn.dtn, Bb, count)
-    n_zero = 0 if dtn.has_dirichlet else _zero_count(vals, vals[-1] if len(vals) else 1.0)
-    n = mesh.n_vertices
-    extend = partial(_harmonic_vectors, dtn, traces, n)
-    return Spectrum(vals, extend, _embed(B, dtn.steklov, n), "steklov", n_zero=n_zero)
+    n_zero = _zero_count(vals, vals[-1] if len(vals) else 1.0)
+    extend = partial(_harmonic_vectors, dtn, traces, len(B), lift)
+    return Spectrum(vals, extend, mass, "steklov", n_zero=n_zero)
 
 
 def boundary_eigenpairs(dtn, Bb, count):
@@ -454,18 +478,19 @@ def boundary_eigenpairs(dtn, Bb, count):
     return _mass_orthonormalize(vals, scale[:, None] * modes, Bb)
 
 
-def _harmonic_vectors(dtn, traces, n):
-    """Full-mesh vectors: the traces on the Steklov vertices, their harmonic
-    extensions inside and zero on the Dirichlet panels."""
+def _harmonic_vectors(dtn, traces, n, lift):
+    """Vectors on n coordinates: the traces on the Steklov dofs, their harmonic
+    extensions on the interior ones and zero elsewhere; mapped by lift if given."""
     vecs = np.zeros((n, traces.shape[1]))
     vecs[dtn.steklov] = traces
     vecs[dtn.interior] = dtn.harmonic @ traces
-    return vecs
+    return vecs if lift is None else lift(vecs)
 
 
-def _embed(B, idx, n):
-    out = np.zeros(n)
-    out[idx] = B[idx]
+def _embed(values, index, n):
+    """n rows of zeros, with the rows of values placed at index."""
+    out = np.zeros((n,) + values.shape[1:])
+    out[index] = values
     return out
 
 

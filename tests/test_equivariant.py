@@ -1,8 +1,13 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eigenmax.builtins import conformal_annulus, flat_torus, round_sphere, unit_disk
 from eigenmax.chambers import build_mesh
+from eigenmax.cli import parse_descriptor
 from eigenmax.equivariant import (
     NonCommuting,
     NotInvolution,
@@ -13,7 +18,13 @@ from eigenmax.equivariant import (
     quotient_mesh,
     sector_basis,
 )
-from eigenmax.fem import assemble_mass, laplace_spectrum, steklov_spectrum
+from eigenmax.fem import (
+    assemble_boundary_mass,
+    assemble_mass,
+    assemble_stiffness,
+    laplace_spectrum,
+    steklov_spectrum,
+)
 from eigenmax.groups import make_group
 from eigenmax.taxonomy import TypeB, closed_surface, sphere_family
 
@@ -216,15 +227,127 @@ def test_average_invariant_matches_orbit_loop():
         assert np.array_equal(average_invariant(field, mesh), expected)
 
 
-def test_parity_split_steklov_sectors_reproduce_the_spectrum():
-    disk = unit_disk(2)
-    even, odd = parity_split_spectrum(disk, "sy", count=5, kind="steklov")
-    full = steklov_spectrum(disk, count=10)
-    merged = np.sort(np.concatenate([even.eigenvalues, odd.eigenvalues]))
-    assert np.allclose(merged[:7], full.eigenvalues[:7], rtol=1e-9, atol=1e-12)
-    assert even.n_zero == 1 and odd.n_zero == 0
-    perm = disk.actions["sy"]
-    for sector, sign in ((even, 1.0), (odd, -1.0)):
-        U = sector.vectors
-        assert np.allclose(U[perm], sign * U, atol=1e-12)
-        assert np.allclose(U.T @ (sector.mass[:, None] * U), np.eye(5), atol=1e-10)
+def _dense_sector_oracle(mesh, R, count):
+    # the dense sector reduction: Schur complement and interior values by
+    # np.linalg.solve, every pair of the scaled boundary problem by eigh
+    Kr = (R.T @ assemble_stiffness(mesh) @ R).toarray()
+    Br = np.asarray((R.T @ sp.diags(assemble_boundary_mass(mesh)) @ R).diagonal())
+    live = Br > 1e-14 * max(Br.max(), 1e-30)
+    b, i = np.flatnonzero(live), np.flatnonzero(~live)
+    Kbi, Kii = Kr[np.ix_(b, i)], Kr[np.ix_(i, i)]
+    dtn = Kr[np.ix_(b, b)] - Kbi @ np.linalg.solve(Kii, Kbi.T)
+    scale = 1.0 / np.sqrt(Br[b])
+    vals, modes = np.linalg.eigh(scale[:, None] * (0.5 * (dtn + dtn.T)) * scale[None, :])
+    traces = scale[:, None] * modes[:, :count]
+    coeff = np.zeros((Kr.shape[0], count))
+    coeff[b] = traces
+    coeff[i] = -np.linalg.solve(Kii, Kbi.T @ traces)
+    return vals, R @ coeff
+
+
+class _NoExtension:
+    """Stands in for the interior harmonic extensions; fails when applied."""
+
+    def __matmul__(self, other):
+        raise AssertionError("interior extension computed")
+
+
+def test_parity_split_steklov_sectors_reproduce_the_spectrum(monkeypatch):
+    from eigenmax import fem
+
+    cases = [
+        (unit_disk(2), "sy"),
+        (conformal_annulus(1.1997 / np.pi, 1), "tau"),
+        (conformal_annulus(1.1997 / np.pi, 1), "stheta"),
+        (build_mesh(parse_descriptor("N_tau(1*,1+rho1)"), 500), "rho1"),
+    ]
+    checked = 0
+    for mesh, name in cases:
+        even, odd = parity_split_spectrum(mesh, name, count=5, kind="steklov")
+        full = steklov_spectrum(mesh, count=10)
+        merged = np.sort(np.concatenate([even.eigenvalues, odd.eigenvalues]))
+        assert np.allclose(merged[:7], full.eigenvalues[:7], rtol=1e-9, atol=1e-12)
+        assert even.n_zero == 1 and odd.n_zero == 0
+        perm = mesh.actions[name]
+        B = assemble_boundary_mass(mesh)
+        for sector, sign in ((even, 1.0), (odd, -1.0)):
+            U = sector.vectors
+            assert np.allclose(U[perm], sign * U, atol=1e-12)
+            assert np.allclose(U.T @ (sector.mass[:, None] * U), np.eye(5), atol=1e-10)
+            vals, V = _dense_sector_oracle(mesh, sector_basis(mesh.n_vertices, [perm], [sign]), 5)
+            top = np.max(np.abs(vals[:5]))
+            assert np.all(np.abs(sector.eigenvalues - vals[:5]) <= 1e-12 * top)
+            # every cluster that count does not cut spans the oracle's eigenspace
+            for i, j in sector.clusters():
+                if vals[j] - vals[j - 1] > 1e-3 * top:
+                    overlap = V[:, i:j].T @ (B[:, None] * U[:, i:j])
+                    assert np.allclose(np.linalg.svd(overlap, compute_uv=False), 1.0, atol=1e-12)
+                    assert np.allclose(V[:, i:j] @ overlap, U[:, i:j], rtol=0, atol=1e-12 * np.abs(U).max())
+                    checked += 1
+    assert checked >= 12
+    # eigenvalue readers of a sector spectrum do not extend into the interior
+    build = fem._dirichlet_to_neumann
+    monkeypatch.setattr(
+        fem,
+        "_dirichlet_to_neumann",
+        lambda K, on_steklov: dataclasses.replace(build(K, on_steklov), harmonic=_NoExtension()),
+    )
+    for mesh, name in cases:
+        for sector in parity_split_spectrum(mesh, name, count=5, kind="steklov"):
+            assert sector.first_nonzero() > 0
+            assert sector.to_json()["first_nonzero"] == sector.first_nonzero()
+            assert sector.clusters()[0][0] == sector.n_zero
+            with pytest.raises(AssertionError, match="interior extension"):
+                sector.vectors
+
+
+def _sector_basis_loop(n, perms, signs):
+    # the orbit walk sector_basis replaced: images of each unseen vertex under
+    # every product of the involutions, in vertex order
+    group = [np.arange(n)]
+    chars = [1.0]
+    for perm, sign in zip(perms, signs):
+        group = group + [g[perm] for g in group]
+        chars = chars + [c * sign for c in chars]
+    seen = np.zeros(n, dtype=bool)
+    rows, cols, vals = [], [], []
+    col = 0
+    for v in range(n):
+        if seen[v]:
+            continue
+        images = {}
+        consistent = True
+        for g, c in zip(group, chars):
+            w = int(g[v])
+            if w in images and images[w] != c:
+                consistent = False
+            images[w] = c
+        for w in images:
+            seen[w] = True
+        if not consistent:
+            continue
+        norm = 1.0 / np.sqrt(len(images))
+        for w, c in images.items():
+            rows.append(w)
+            cols.append(col)
+            vals.append(c * norm)
+        col += 1
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, col))
+
+
+def test_sector_basis_matches_the_orbit_walk():
+    sphere, torus = round_sphere(2), flat_torus(1)
+    cases = [(sphere, ["sz"], [s]) for s in (1.0, -1.0)]
+    cases += [(torus, ["sx"], [s]) for s in (1.0, -1.0)]
+    cases += [(torus, ["sx", "sy"], list(s)) for s in itertools.product((1.0, -1.0), repeat=2)]
+    dropped = 0
+    for mesh, names, signs in cases:
+        n = mesh.n_vertices
+        perms = [mesh.actions[k] for k in names]
+        got, want = sector_basis(n, perms, signs), _sector_basis_loop(n, perms, signs)
+        assert got.shape == want.shape
+        assert np.array_equal(got.toarray(), want.toarray())
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+        dropped += got.nnz < n
+    assert dropped >= 3

@@ -471,7 +471,8 @@ def test_steklov_subset_solve_matches_a_full_eigh():
         count = 9
         spec = steklov_spectrum(mesh, count, steklov_panels, dirichlet_panels)
         dtn = mesh.geometry.cached(_dtn_key(steklov_panels, dirichlet_panels), pytest.fail)
-        assert dtn.has_dirichlet == bool(dirichlet_panels)
+        # the Dirichlet vertices are neither Steklov nor interior dofs
+        assert (len(dtn.steklov) + len(dtn.interior) < mesh.n_vertices) == bool(dirichlet_panels)
         Bb = assemble_boundary_mass(mesh, steklov_panels)[dtn.steklov]
         vals, traces = _full_eigh_oracle(dtn.dtn, Bb)
         assert len(spec.eigenvalues) == count
