@@ -552,7 +552,9 @@ def reflect_assemble(chamber, assembly, free_labels=()):
     Panels named in free_labels are left as boundary (label 'free') instead
     of being glued; every other mirror panel must correspond to a generator
     of the assembly group.  Copy g of chamber vertex v is node g * n_v + v;
-    glued vertices are numbered in the order of their smallest node.
+    glued vertices are numbered in the order of their smallest node.  The
+    actions are the generators' vertex permutations, keyed by generator
+    name: generator s carries copy g of a vertex to copy s * g.
     """
     n_e = assembly.order
     n_v = chamber.n_vertices
@@ -600,8 +602,8 @@ def reflect_assemble(chamber, assembly, free_labels=()):
     keys, _ = _first_copies(glued[:, pairs[:, 0]].T.ravel(), glued[:, pairs[:, 1]].T.ravel())
     panels = dict.fromkeys(keys, "free")
 
-    actions = {}
-    for gamma in range(1, n_e):
+    actions = {}  # the generators are elements 1..k of the closure order
+    for gamma in range(1, len(assembly.gen_specs) + 1):
         perm = np.zeros(n_glued, dtype=int)
         perm[glued] = glued[assembly.left[gamma]]
         actions[assembly.names[gamma]] = perm
@@ -642,8 +644,9 @@ def _assembly_specs(descriptor, chamber_group):
 def build_mesh(descriptor, target_vertices=2000, seed=0):
     """Chamber-mesh and assemble the surface of a descriptor.
 
-    The assembled mesh carries the full action table, 'free' Steklov panels
-    for bounded descriptors, and BRS guard metadata.
+    The assembled mesh carries one vertex permutation per generator of the
+    assembly group, 'free' Steklov panels for bounded descriptors, and BRS
+    guard metadata.
     """
     group = descriptor.group
     specs, free = _assembly_specs(descriptor, group)

@@ -161,8 +161,9 @@ class SymmetricMesh:
     density: (n,) positive array
     panels: dict edge(i<j) -> label for boundary edges ("mirror:<name>",
         "free" for Steklov/outer boundary, or a builtin panel name)
-    actions: dict element name -> vertex permutation (arrays); must form a
-        group under composition for the averaging operator to be a projection
+    actions: dict generator name -> vertex permutation (arrays) for the
+        generators of the symmetry group; orbits, and so invariance, need
+        only the generators.  Bundles that list every element still load.
     meta: free-form provenance (descriptor, builtin name, BRS flags)
 
     triangles, edge_lengths and panels must not be mutated after
@@ -266,9 +267,9 @@ class SymmetricMesh:
             raise MeshError("density must be one value per vertex")
         if np.any(rho <= 0):
             raise NonPositiveDensity("density must be strictly positive")
-        for name, perm in self.actions.items():
-            if not np.allclose(rho[perm], rho, rtol=1e-12, atol=0.0):
-                raise NonInvariantDensity(f"density is not invariant under {name}")
+        name = self.non_invariant_action(rho)
+        if name is not None:
+            raise NonInvariantDensity(f"density is not invariant under {name}")
         out = copy.copy(self)
         out.density = rho.copy()
         return out
@@ -298,6 +299,14 @@ class SymmetricMesh:
         return float(np.sum(lengths * (0.5 * (root[edges[:, 0]] + root[edges[:, 1]]))))
 
     # -- actions ---------------------------------------------------------------
+
+    def non_invariant_action(self, rho):
+        """Name of the first action that moves the vertex field rho by more
+        than a relative 1e-12, or None when rho is invariant."""
+        for name, perm in self.actions.items():
+            if not np.allclose(rho[perm], rho, rtol=1e-12, atol=0.0):
+                return name
+        return None
 
     def check_action(self, name, tol=1e-9):
         """The named permutation maps triangles to triangles preserving lengths."""

@@ -70,8 +70,10 @@ class OptimizationState:
 
 
 def eigenvalue_derivative(mesh, u, delta_rho, kind="laplace", eigenvalue=None):
-    """First-order change of lambda_1 and of area*lambda_1 for a mass perturbation.
+    """First-order change of lambda_1 and of size*lambda_1 for a mass perturbation.
 
+    The size is the area (Laplace) or the boundary length (Steklov).  For
+    Steklov problems delta_rho perturbs the boundary weight sqrt(rho).
     u must be a single mass-normalized eigenfunction (pass the cluster member
     explicitly when the eigenvalue is degenerate).
     """
@@ -80,25 +82,17 @@ def eigenvalue_derivative(mesh, u, delta_rho, kind="laplace", eigenvalue=None):
         raise ClusterAmbiguous("pass a single cluster member for degenerate eigenvalues")
     delta_rho = np.asarray(delta_rho, dtype=float)
     if kind == "laplace":
-        mass_ref = fem.assemble_mass(mesh) / mesh.density
-        lam = eigenvalue
-        if lam is None:
-            K = fem.assemble_stiffness(mesh)
-            lam = float(u @ (K @ u))
-        dlam = -lam * float(np.sum(u**2 * mass_ref * delta_rho))
-        area = mesh.area()
-        darea = float(np.sum(mass_ref * delta_rho))
-        return dlam, area * dlam + lam * darea
-    # Steklov: the boundary weight is sqrt(rho); perturb it directly
-    b_ref = fem.assemble_boundary_mass(mesh) / np.sqrt(mesh.density)
+        measure, size = fem.assemble_mass(mesh) / mesh.density, mesh.area()
+    else:
+        measure = fem.assemble_boundary_mass(mesh) / np.sqrt(mesh.density)
+        size = mesh.boundary_length()
     lam = eigenvalue
     if lam is None:
         K = fem.assemble_stiffness(mesh)
         lam = float(u @ (K @ u))
-    dlam = -lam * float(np.sum(u**2 * b_ref * delta_rho))
-    length = mesh.boundary_length()
-    dlen = float(np.sum(b_ref * delta_rho))
-    return dlam, length * dlam + lam * dlen
+    dlam = -lam * float(np.sum(u**2 * measure * delta_rho))
+    dsize = float(np.sum(measure * delta_rho))
+    return dlam, size * dlam + lam * dsize
 
 
 def flatten_weights(profiles, measure):

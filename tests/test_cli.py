@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from eigenmax.builtins import round_sphere
 from eigenmax.cli import main, parse_btype, parse_descriptor, parse_group
 
 
@@ -114,12 +116,52 @@ def test_optimize_verify_roundtrip(tmp_path, capsys):
     mesh_file = out / "mesh.json"
     obj = json.loads(mesh_file.read_text())
     obj["density"][3] = obj["density"][3] * 3.0
+    # vertex 3 lies on the tau mirror; also scale the first vertex tau moves
+    tau = np.asarray(obj["actions"]["tau"])
+    moved = int(np.flatnonzero(tau != np.arange(len(tau)))[0])
+    obj["density"][moved] = obj["density"][moved] * 3.0
     mesh_file.write_text(json.dumps(obj, sort_keys=True))
     assert run(["verify", str(out)]) == 2
-    capsys.readouterr()
+    checks = {c["check"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert not checks["density-invariant"]
 
     (out / "state.json").unlink()
     assert run(["verify", str(out)]) == 1
+
+
+def test_optimize_saved_builtin_mesh(tmp_path, capsys):
+    # a mesh file without a descriptor optimizes, with no gap report
+    round_sphere(1).save(tmp_path / "sphere.json")
+    out = tmp_path / "run"
+    assert run(["optimize", str(tmp_path / "sphere.json"), "--out", str(out)]) == 0
+    assert "gap" not in json.loads((out / "report.json").read_text())
+    capsys.readouterr()
+
+
+def test_optimize_and_verify_full_table_bundle(tmp_path, capsys):
+    bundle = tmp_path / "run"
+    assert run(["optimize", "M(Z2,1+rho1)", "--resolution", "400", "--max-iters", "2",
+                "--out", str(bundle)]) == 0
+    mesh_file = bundle / "mesh.json"
+    obj = json.loads(mesh_file.read_text())
+    assert sorted(obj["actions"]) == ["rho1", "tau"]
+
+    # older bundles list every group element: add the composite back
+    tau, rho1 = (np.asarray(obj["actions"][k]) for k in ("tau", "rho1"))
+    obj["actions"]["tau.rho1"] = tau[rho1].tolist()
+    mesh_file.write_text(json.dumps(obj, sort_keys=True))
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["outputs"]["mesh.json"] = hashlib.sha256(mesh_file.read_bytes()).hexdigest()
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["verify", str(bundle)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+
+    # the bundle's mesh.json optimizes again and keeps its descriptor
+    again = tmp_path / "again"
+    assert run(["optimize", str(mesh_file), "--max-iters", "2", "--out", str(again)]) == 0
+    assert "gap" in json.loads((again / "report.json").read_text())
+    capsys.readouterr()
 
 
 def test_determinism_of_reports(tmp_path):

@@ -201,30 +201,35 @@ def test_not_involution():
 
 
 def test_average_invariant_matches_orbit_loop():
-    # reference: union-find orbits, orbit sums accumulated in vertex order
-    mesh = build_mesh(closed_surface(make_group("onestar"), TypeB.make(f=1, e={0: 1})), 900)
-    n = mesh.n_vertices
-    parent = list(range(n))
+    # reference: union-find orbits over the stored generators, orbit sums
+    # accumulated in vertex order
+    for desc, resolution in (
+        (closed_surface(make_group("onestar"), TypeB.make(f=1, e={0: 1})), 900),
+        (closed_surface(make_group("platonic", (2, 3, 4)), TypeB.make(f=1)), 500),
+    ):
+        mesh = build_mesh(desc, resolution)
+        n = mesh.n_vertices
+        parent = list(range(n))
 
-    def find(a):
-        while parent[a] != a:
-            a = parent[a]
-        return a
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
 
-    for perm in mesh.actions.values():
-        for v in range(n):
-            ra, rb = find(v), find(int(perm[v]))
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = [find(v) for v in range(n)]
-    rng = np.random.default_rng(3)
-    for _ in range(3):
-        field = rng.uniform(0.5, 2.0, n)
-        sums, counts = {}, {}
-        for v, r in enumerate(roots):
-            sums[r] = sums.get(r, 0.0) + field[v]
-            counts[r] = counts.get(r, 0) + 1
-        expected = np.array([sums[r] / counts[r] for r in roots])
-        assert np.array_equal(average_invariant(field, mesh), expected)
+        for perm in mesh.actions.values():
+            for v in range(n):
+                ra, rb = find(v), find(int(perm[v]))
+                parent[max(ra, rb)] = min(ra, rb)
+        roots = [find(v) for v in range(n)]
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            field = rng.uniform(0.5, 2.0, n)
+            sums, counts = {}, {}
+            for v, r in enumerate(roots):
+                sums[r] = sums.get(r, 0.0) + field[v]
+                counts[r] = counts.get(r, 0) + 1
+            expected = np.array([sums[r] / counts[r] for r in roots])
+            assert np.array_equal(average_invariant(field, mesh), expected)
 
 
 def _dense_sector_oracle(mesh, R, count):

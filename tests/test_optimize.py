@@ -62,6 +62,30 @@ def test_derivative_matches_central_difference():
         assert errs[0] < 5e-4 * max(1.0, abs(dbar))
 
 
+def test_steklov_derivative_matches_central_difference():
+    # invariant densities on the disk; x^2 splits the first Steklov pair
+    mesh = unit_disk(2)
+    mesh = mesh.with_density(average_invariant(1.0 + 0.3 * mesh.positions[:, 0] ** 2, mesh))
+    spec = steklov_spectrum(mesh, count=4)
+    u = spec.vectors[:, spec.n_zero]
+    lam = spec.first_nonzero()
+    assert spec.eigenvalues[spec.n_zero + 1] > 1.05 * lam
+    rng = np.random.default_rng(5)
+    delta = average_invariant(rng.standard_normal(mesh.n_vertices), mesh)
+    _, dbar = eigenvalue_derivative(mesh, u, delta, "steklov", eigenvalue=lam)
+    # delta perturbs the boundary weight sqrt(rho)
+    root = np.sqrt(mesh.density)
+    errs = []
+    for h in (1e-3, 5e-4):
+        vals = [
+            normalized_first(mesh.with_density((root + s * h * delta) ** 2), "steklov")
+            for s in (+1, -1)
+        ]
+        errs.append(abs((vals[0] - vals[1]) / (2 * h) - dbar))
+    assert errs[1] < errs[0]
+    assert errs[0] < 5e-4 * max(1.0, abs(dbar))
+
+
 def test_flatten_weights_recovers_constant():
     # two profiles whose equal-weight sum is constant
     x = np.linspace(0, 2 * np.pi, 50, endpoint=False)
