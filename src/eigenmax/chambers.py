@@ -18,7 +18,7 @@ import numpy as np
 
 from . import distmesh
 from .groups import closure, standard_action
-from .meshcore import MeshError, SymmetricMesh, _edge_key, components, edge_endpoints
+from .meshcore import MeshError, SymmetricMesh, components, edge_table, mesh_from_positions
 from .taxonomy import (
     SurfaceDescriptor,
     TaxonomyError,
@@ -451,12 +451,8 @@ def chamber_mesh(group, btype, target_edge_length, seed=0):
 
 def _chamber_from_planar(p, tri, all_curves, pfix, proj, group, btype, h_s):
     # classify and snap boundary vertices onto their constraint curves
-    boundary = {}
-    count = {}
-    for t in tri:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            count[_edge_key(int(a), int(b))] = count.get(_edge_key(int(a), int(b)), 0) + 1
-    bedges = [e for e, c in count.items() if c == 1]
+    codes, _, shared = edge_table(tri, len(p))
+    bedges = [divmod(int(c), len(p)) for c in codes[shared == 1]]
     bverts = sorted({v for e in bedges for v in e})
     tol = 0.35 * h_s * 2.0  # generous: distmesh projection is approximate
     membership = {v: [] for v in bverts}
@@ -491,24 +487,15 @@ def _chamber_from_planar(p, tri, all_curves, pfix, proj, group, btype, h_s):
         k = sorted(common)[0]
         panels[(a, b)] = "mirror:" + all_curves[k].label
 
-    pos3 = proj.to_sphere(p)
-    lengths = {}
-    for t in tri:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = _edge_key(int(a), int(b))
-            if key not in lengths:
-                lengths[key] = float(np.linalg.norm(pos3[key[0]] - pos3[key[1]]))
-    mesh = SymmetricMesh(
-        pos3,
+    return mesh_from_positions(
+        proj.to_sphere(p),
         tri,
-        lengths,
         panels=panels,
         meta={
             "chamber": {"group": group.to_json(), "b": btype.to_json()},
             "edge_target": h_s,
         },
     )
-    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +525,12 @@ class AssemblyGroup:
 
 
 def _first_copies(a, b):
-    """Distinct edges among a[k]-b[k] as (lo, hi) keys, in the order of their
-    first occurrence, with the index k of that occurrence."""
+    """Distinct edges among a[k]-b[k] as (E, 2) rows lo < hi, in the order
+    of their first occurrence, with the index k of that occurrence."""
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     _, first = np.unique(lo * (1 + hi.max(initial=0)) + hi, return_index=True)
     first.sort()
-    return list(zip(lo[first].tolist(), hi[first].tolist())), first
+    return np.column_stack([lo[first], hi[first]]), first
 
 
 def reflect_assemble(chamber, assembly, free_labels=()):
@@ -592,15 +579,14 @@ def reflect_assemble(chamber, assembly, free_labels=()):
     triangles = triangles[np.sort(first)]
 
     # a glued edge keeps the position of its first copy; copies share one length
-    a, b = edge_endpoints(chamber)
-    keys, first = _first_copies(glued[:, a].ravel(), glued[:, b].ravel())
-    values = list(chamber.edge_lengths.values())
-    lengths = {key: values[k % len(a)] for key, k in zip(keys, first.tolist())}
+    a, b = chamber.edges.T
+    edges, first = _first_copies(glued[:, a].ravel(), glued[:, b].ravel())
+    lengths = chamber.lengths[first % len(a)]
 
     free = [e for e, lab in chamber.panels.items() if lab.split(":", 1)[1] in free_labels]
     pairs = np.array(free, dtype=int).reshape(-1, 2)
     keys, _ = _first_copies(glued[:, pairs[:, 0]].T.ravel(), glued[:, pairs[:, 1]].T.ravel())
-    panels = dict.fromkeys(keys, "free")
+    panels = dict.fromkeys(map(tuple, keys.tolist()), "free")
 
     actions = {}  # the generators are elements 1..k of the closure order
     for gamma in range(1, len(assembly.gen_specs) + 1):
@@ -611,7 +597,7 @@ def reflect_assemble(chamber, assembly, free_labels=()):
     mesh = SymmetricMesh(
         positions,
         triangles,
-        lengths,
+        (edges, lengths),
         panels=panels,
         actions=actions,
         meta=dict(chamber.meta),

@@ -384,6 +384,8 @@ def cmd_verify(args):
         state = json.loads((bundle / "state.json").read_text())
         check("density-positive", bool(np.all(mesh.density > 0)))
         check("density-invariant", mesh.non_invariant_action(mesh.density) is None)
+        for name in mesh.actions:
+            check(f"action-isometry:{name}", mesh.check_action(name))
         kind = "steklov" if mesh.has_boundary() else "laplace"
         value = fem.normalized_first(mesh, kind)
         check(

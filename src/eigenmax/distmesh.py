@@ -11,15 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import Delaunay
 
-
-def _unique_bars(tri):
-    bars = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    bars.sort(axis=1)
-    # one int64 key a*n + b per bar sorts as the rows (a, b) do, and a 1-D
-    # unique is several times faster than np.unique(bars, axis=0)
-    n = int(bars.max()) + 1 if len(bars) else 1
-    keys = np.unique(bars[:, 0].astype(np.int64) * n + bars[:, 1])
-    return np.column_stack([keys // n, keys % n]).astype(tri.dtype)
+from .meshcore import triangle_edges
 
 
 def _triangulate(p, fd, geps):
@@ -64,7 +56,7 @@ def distmesh2d(fd, fh, h0, bbox, pfix=(), seed=0, max_iters=220):
         if np.max(np.hypot(*(p - pold).T)) > ttol * h0:
             pold = p.copy()
             tri = _triangulate(p, fd, geps)
-            bars = _unique_bars(tri)
+            bars = triangle_edges(tri)
         barvec = p[bars[:, 0]] - p[bars[:, 1]]
         blen = np.hypot(barvec[:, 0], barvec[:, 1])
         hbars = fh(0.5 * (p[bars[:, 0]] + p[bars[:, 1]]))

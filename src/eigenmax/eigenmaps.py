@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .meshcore import MeshError, components, edge_endpoints
+from .meshcore import MeshError, components
 
 
 class EigenmapError(MeshError):
@@ -168,7 +168,7 @@ def nodal_domain_count(values, mesh, rel_tol=1e-10):
     sign = np.zeros(mesh.n_vertices, dtype=int)
     sign[u > rel_tol * scale] = 1
     sign[u < -rel_tol * scale] = -1
-    a, b = edge_endpoints(mesh)
+    a, b = mesh.edges.T
     same = (sign[a] != 0) & (sign[a] == sign[b])
     return components(np.flatnonzero(sign), a[same], b[same])[0]
 
@@ -264,15 +264,10 @@ def odd_nodal_set_on_fixed(values, mesh, tau, rel_tol=1e-8):
     passes through a vanishing fixed vertex.
     """
     u = np.asarray(values, dtype=float)
-    perm = mesh.actions[tau]
-    fixed = perm == np.arange(mesh.n_vertices)
     scale = float(np.max(np.abs(u)))
-    for a, b in mesh.edge_lengths:
-        if u[a] > rel_tol * scale and u[b] < -rel_tol * scale:
-            return False
-        if u[b] > rel_tol * scale and u[a] < -rel_tol * scale:
-            return False
-    return True
+    positive, negative = u > rel_tol * scale, u < -rel_tol * scale
+    a, b = mesh.edges.T
+    return not bool(np.any((positive[a] & negative[b]) | (positive[b] & negative[a])))
 
 
 def oval_convexity_report(components, mesh, tau, parity, angle_tol=1e-2):
@@ -305,12 +300,11 @@ def oval_convexity_report(components, mesh, tau, parity, angle_tol=1e-2):
 
 
 def _cycle_order(mesh, oval):
-    oval_set = set(oval)
+    on_oval = np.isin(mesh.edges, oval).all(axis=1)
     adj = {}
-    for a, b in mesh.edge_lengths:
-        if a in oval_set and b in oval_set:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
+    for a, b in mesh.edges[on_oval].tolist():
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
     if any(len(v) != 2 for v in adj.values()) or len(adj) != len(oval):
         return None
     start = oval[0]
@@ -349,7 +343,7 @@ def interior_critical_vertices(values, mesh):
         for k, v in enumerate(t):
             stars.setdefault(v, []).append((ti, k))
     angles = np.arccos(np.clip(mesh.corner_cosines(), -1, 1))
-    lengths = mesh.geometry.lengths
+    lengths = mesh.geometry.triangle_lengths
     out = []
     for v, star in stars.items():
         if v in boundary:
@@ -434,7 +428,7 @@ def fixed_ovals(mesh, tau):
     perm = mesh.actions[tau]
     fixed = np.flatnonzero(perm == np.arange(mesh.n_vertices))
     fixed = np.setdiff1d(fixed, mesh.boundary_vertices())
-    a, b = edge_endpoints(mesh)
+    a, b = mesh.edges.T
     on_fixed = np.isin(a, fixed) & np.isin(b, fixed)
     count, labels = components(fixed, a[on_fixed], b[on_fixed])
     return [fixed[labels == k].tolist() for k in range(count)]

@@ -7,7 +7,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import assemble_boundary_mass, assemble_mass, assemble_stiffness, restricted_spectrum
-from .meshcore import MeshError, SymmetricMesh, _edge_key, components, edge_endpoints
+from .meshcore import MeshError, SymmetricMesh, components, edge_table
 
 
 class EquivariantError(MeshError):
@@ -120,7 +120,7 @@ def quotient_mesh(mesh, name):
     fixed = perm == np.arange(n)
     # connected components of the off-mirror part; side 0 holds its smallest vertex
     free = np.flatnonzero(~fixed)
-    a, b = edge_endpoints(mesh)
+    a, b = mesh.edges.T
     inside = ~fixed[a] & ~fixed[b]
     count, comp = components(free, a[inside], b[inside])
     if count != 2:
@@ -130,36 +130,25 @@ def quotient_mesh(mesh, name):
     keep = side0 | fixed
     new_index = -np.ones(n, dtype=int)
     new_index[keep] = np.arange(int(keep.sum()))
-    tris = []
-    for t in mesh.triangles:
-        t = [int(x) for x in t]
-        if all(keep[v] for v in t):
-            if all(fixed[v] for v in t):
-                raise EquivariantError("involution fixes a whole triangle")
-            tris.append([new_index[v] for v in t])
+    tris = mesh.triangles[keep[mesh.triangles].all(axis=1)]
+    if np.any(fixed[tris].all(axis=1)):
+        raise EquivariantError("involution fixes a whole triangle")
+    tris = new_index[tris]
     # only the edges of the kept triangles: an edge of the discarded side may
     # still join two kept vertices
-    tri_edges = {}
-    for t in tris:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = _edge_key(a, b)
-            tri_edges[key] = tri_edges.get(key, 0) + 1
-    lengths = {}
-    for (a, b), l in mesh.edge_lengths.items():
-        if keep[a] and keep[b]:
-            key = _edge_key(int(new_index[a]), int(new_index[b]))
-            if key in tri_edges:
-                lengths[key] = l
-    panels = {}
-    for (a, b), lab in mesh.panels.items():
-        if keep[a] and keep[b]:
-            key = _edge_key(int(new_index[a]), int(new_index[b]))
-            if key in tri_edges:
-                panels[key] = lab
+    base = len(keep)
+    codes, _, shared = edge_table(tris, base)
+    edges = np.column_stack([codes // base, codes % base])
+    old = np.flatnonzero(keep)
+    lengths = mesh.lengths[mesh.geometry.edge_index(old[edges[:, 0]], old[edges[:, 1]])]
+    pairs = np.sort(new_index[np.array(list(mesh.panels), dtype=np.int64).reshape(-1, 2)], axis=1)
+    on_half = np.isin(pairs[:, 0] * base + pairs[:, 1], codes)
+    panels = {
+        tuple(e): lab for e, lab, ok in zip(pairs.tolist(), mesh.panels.values(), on_half) if ok
+    }
     # mirror panel: new boundary edges whose endpoints are fixed vertices
-    for key, c in tri_edges.items():
-        if c == 1 and key not in panels:
-            panels[key] = f"mirror:{name}"
+    for code in codes[shared == 1].tolist():
+        panels.setdefault(divmod(code, base), f"mirror:{name}")
     # induced actions of commuting symmetries that preserve the side
     actions = {}
     for other, operm in mesh.actions.items():
@@ -172,8 +161,8 @@ def quotient_mesh(mesh, name):
             actions[other] = new_index[images]
     half = SymmetricMesh(
         mesh.positions[keep],
-        np.asarray(tris, dtype=int),
-        lengths,
+        tris,
+        (edges, lengths),
         density=mesh.density[keep],
         panels=panels,
         actions=actions,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,18 +66,48 @@ def components(vertices, a, b):
     return connected_components(graph, directed=False)
 
 
-def edge_endpoints(mesh):
-    """(a, b) integer arrays of the endpoints of every edge, in edge order."""
-    return np.array(list(mesh.edge_lengths), dtype=int).reshape(-1, 2).T
+def edge_table(triangles, base):
+    """The distinct edges of the triangles as sorted codes ``a * base + b``
+    (a < b), each corner's index into them and how many triangles share each
+    edge (one on the boundary).  Corner k faces the edge joining corners k+1
+    and k+2; the index array has the shape of triangles."""
+    triangles = np.asarray(triangles, dtype=np.int64)
+    a, b = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
+    codes, inverse, counts = np.unique(
+        np.minimum(a, b) * base + np.maximum(a, b), return_inverse=True, return_counts=True
+    )
+    return codes, inverse.reshape(triangles.shape), counts
+
+
+def triangle_edges(triangles):
+    """(E, 2) rows i < j of the distinct edges of the triangles, sorted, in
+    the triangles' integer dtype."""
+    triangles = np.asarray(triangles)
+    base = int(triangles.max(initial=0)) + 1
+    # one int64 key a*base + b per edge sorts as the rows (a, b) do, and a
+    # 1-D unique is several times faster than np.unique(rows, axis=0)
+    codes = edge_table(triangles, base)[0]
+    return np.column_stack([codes // base, codes % base]).astype(triangles.dtype)
+
+
+def _edge_arrays(record):
+    """(pairs, lengths) arrays of an (edges, lengths) pair or a {(i, j): length} mapping."""
+    if isinstance(record, Mapping):
+        record = list(record), list(record.values())
+    pairs = np.asarray(record[0], dtype=np.int64).reshape(-1, 2)
+    lengths = np.asarray(record[1], dtype=float).reshape(-1)
+    if len(lengths) != len(pairs):
+        raise MeshError(f"{len(pairs)} edges but {len(lengths)} reference lengths")
+    return pairs, lengths
 
 
 class MeshGeometry:
     """Density-independent data of a mesh, shared by all its density copies.
 
     Built, and the combinatorics validated, when the mesh is constructed:
-    the per-triangle reference lengths (one vectorized lookup of the edge
-    codes) and the boundary edges.  Areas and cotangents come from one
-    Heron/cotangent kernel on first use.
+    the sorted edge record, the per-triangle reference lengths and the
+    boundary edges.  Areas and cotangents come from one Heron/cotangent
+    kernel on first use.
     Operators assembled from them (stiffness, reference masses,
     Dirichlet-to-Neumann blocks) are stored with ``cached``.  Every stored
     array is read-only, and the mesh fields the geometry was built from must
@@ -85,39 +116,50 @@ class MeshGeometry:
     Edges are coded as ``a * base + b``; ``base`` exceeds every vertex index.
     """
 
-    def __init__(self, n_vertices, triangles, edge_lengths):
+    def __init__(self, n_vertices, triangles, pairs, lengths):
         tri = triangles
         degenerate = (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (tri[:, 2] == tri[:, 0])
         if np.any(degenerate):
             raise MeshError(f"degenerate triangle {tri[np.argmax(degenerate)]}")
-        pairs = np.array(list(edge_lengths), dtype=np.int64).reshape(-1, 2)
-        values = np.fromiter(edge_lengths.values(), dtype=float, count=len(pairs))
         self.base = 1 + max(n_vertices - 1, int(tri.max(initial=-1)), int(pairs.max(initial=-1)))
-        # the edge opposite corner k joins corners k+1 and k+2
-        a, b = tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]
-        corner_codes = np.minimum(a, b) * self.base + np.maximum(a, b)
-        edges, counts = np.unique(corner_codes, return_counts=True)
+        edges, corner_edges, counts = edge_table(tri, self.base)
         shared = counts > 2
         if np.any(shared):
             raise MeshError(f"non-manifold edge {self.pair(edges[np.argmax(shared)])}")
         codes = pairs[:, 0] * self.base + pairs[:, 1]
         order = np.argsort(codes)
         codes = codes[order]
-        missing = ~np.isin(edges, codes)
-        if np.any(missing):
-            raise MeshError(f"edge {self.pair(edges[np.argmax(missing)])} has no reference length")
+        if not np.array_equal(codes, edges):
+            for bad, why in ((codes[1:][codes[1:] == codes[:-1]], "is listed twice"),
+                             (np.setdiff1d(edges, codes), "has no reference length"),
+                             (np.setdiff1d(codes, edges), "bounds no triangle")):
+                if len(bad):
+                    raise MeshError(f"edge {self.pair(bad[0])} {why}")
+        #: (E,) sorted edge codes: the one edge lookup, ``edge_index``, searches them
+        self.codes = _frozen(codes)
+        self.edges = _frozen(pairs[order])
+        self.lengths = _frozen(lengths[order])
         #: (m, 3) reference length of the edge opposite each corner
-        self.lengths = _frozen(values[order][np.searchsorted(codes, corner_codes)])
+        self.triangle_lengths = _frozen(self.lengths[corner_edges])
         self.boundary_codes = _frozen(edges[counts == 1])
         self._cache = {}
 
     def pair(self, code):
         return (int(code) // self.base, int(code) % self.base)
 
+    def edge_index(self, a, b):
+        """Row in ``edges`` of each edge a[k]-b[k] (either order), or -1 where
+        the two vertices are not joined by an edge."""
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        codes = lo * self.base + hi
+        index = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        found = (lo >= 0) & (hi < self.base) & (self.codes[index] == codes)
+        return np.where(found, index, -1)
+
     @cached_property
     def areas(self):
         """Per-triangle reference area (Heron)."""
-        la, lb, lc = self.lengths.T
+        la, lb, lc = self.triangle_lengths.T
         s = 0.5 * (la + lb + lc)
         return _frozen(np.sqrt(np.maximum(s * (s - la) * (s - lb) * (s - lc), 0.0)))
 
@@ -126,7 +168,9 @@ class MeshGeometry:
         """(m, 3) y**2 + z**2 - x**2 at each corner, x the opposite length and
         y, z the adjacent ones: 2*y*z times the cosine of the corner angle (law
         of cosines).  Cotangents, cosines, angles and triangle frames derive from it."""
-        return _frozen(np.column_stack([y**2 + z**2 - x**2 for x, y, z in _corners(*self.lengths.T)]))
+        return _frozen(
+            np.column_stack([y**2 + z**2 - x**2 for x, y, z in _corners(*self.triangle_lengths.T)])
+        )
 
     @cached_property
     def cotangents(self):
@@ -151,13 +195,13 @@ def _frozen(array):
     return array
 
 
-@dataclass
 class SymmetricMesh:
     """Triangle mesh with reference edge lengths, density, panels and actions.
 
     positions: (n, 3) float array (export / construction geometry only)
     triangles: (m, 3) int array, consistently oriented
-    edge_lengths: dict edge(i<j) -> reference length
+    edges: (edges, lengths) arrays or a {(i, j): length} mapping, i < j, of
+        exactly the triangles' edges; stored as ``edges`` and ``lengths``
     density: (n,) positive array
     panels: dict edge(i<j) -> label for boundary edges ("mirror:<name>",
         "free" for Steklov/outer boundary, or a builtin panel name)
@@ -166,27 +210,32 @@ class SymmetricMesh:
         only the generators.  Bundles that list every element still load.
     meta: free-form provenance (descriptor, builtin name, BRS flags)
 
-    triangles, edge_lengths and panels must not be mutated after
-    construction: the density-independent ``geometry`` is derived from them
-    once and shared by every ``with_density`` copy.
+    triangles and panels must not be mutated after construction: the
+    density-independent ``geometry`` is derived from them once and shared by
+    every ``with_density`` copy.
     """
 
-    positions: np.ndarray
-    triangles: np.ndarray
-    edge_lengths: dict
-    density: np.ndarray = None
-    panels: dict = field(default_factory=dict)
-    actions: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64)
-        if self.density is None:
-            self.density = np.ones(len(self.positions))
+    def __init__(self, positions, triangles, edges, density=None, panels=None, actions=None,
+                 meta=None):
+        self.positions = np.asarray(positions, dtype=float)
+        self.triangles = np.asarray(triangles, dtype=np.int64)
+        self.density = np.ones(len(self.positions)) if density is None else density
         self.density = np.asarray(self.density, dtype=float)
-        self._check_manifold()
+        self.panels = panels or {}
+        self.actions = actions or {}
+        self.meta = meta or {}
+        self._check_manifold(edges)
         self._check_quality()
+
+    @property
+    def edges(self):
+        """(E, 2) read-only int64 endpoints, i < j, rows sorted."""
+        return self.geometry.edges
+
+    @property
+    def lengths(self):
+        """(E,) read-only reference lengths, aligned with ``edges``."""
+        return self.geometry.lengths
 
     # -- combinatorics ------------------------------------------------------
 
@@ -197,9 +246,6 @@ class SymmetricMesh:
     @property
     def n_triangles(self):
         return len(self.triangles)
-
-    def edges(self):
-        return list(self.edge_lengths.keys())
 
     def boundary_edges(self):
         return [self.geometry.pair(c) for c in self.geometry.boundary_codes]
@@ -213,12 +259,13 @@ class SymmetricMesh:
         return len(self.geometry.boundary_codes) > 0
 
     def euler_characteristic(self):
-        return self.n_vertices - len(self.edge_lengths) + self.n_triangles
+        return self.n_vertices - len(self.edges) + self.n_triangles
 
-    def _check_manifold(self):
+    def _check_manifold(self, edges):
         """Rejects degenerate triangles, edges of more than two triangles and
-        triangle edges without a reference length, while building the geometry."""
-        self.geometry = MeshGeometry(self.n_vertices, self.triangles, self.edge_lengths)
+        edge records that are not exactly the triangle edges, each with one
+        length, while building the geometry."""
+        self.geometry = MeshGeometry(self.n_vertices, self.triangles, *_edge_arrays(edges))
 
     def _check_quality(self):
         for cosang in self.corner_cosines().T:
@@ -232,7 +279,7 @@ class SymmetricMesh:
 
     def all_triangle_lengths(self):
         """Read-only (la, lb, lc): per triangle, the lengths opposite corners 0, 1, 2."""
-        return tuple(self.geometry.lengths.T)
+        return tuple(self.geometry.triangle_lengths.T)
 
     def corner_cosines(self):
         """(m, 3) cosine of the reference angle at each corner (law of cosines)."""
@@ -286,12 +333,15 @@ class SymmetricMesh:
         return self.geometry.cached(key, lambda: self._select_edges(labels))
 
     def _select_edges(self, labels):
-        edges = [
+        edges = np.array([
             e for e, lab in sorted(self.panels.items())
             if (not lab.startswith("mirror:") if labels is None else lab in labels)
-        ]
-        lengths = np.array([self.edge_lengths[e] for e in edges], dtype=float)
-        return _frozen(np.array(edges, dtype=np.int64).reshape(-1, 2)), _frozen(lengths)
+        ], dtype=np.int64).reshape(-1, 2)
+        index = self.geometry.edge_index(edges[:, 0], edges[:, 1])
+        if np.any(index < 0):
+            stray = tuple(edges[np.argmax(index < 0)].tolist())
+            raise MeshError(f"panel edge {stray} is not an edge")
+        return _frozen(edges), _frozen(self.lengths[index])
 
     def boundary_length(self, labels=None):
         edges, lengths = self.steklov_edges(labels)
@@ -310,53 +360,52 @@ class SymmetricMesh:
 
     def check_action(self, name, tol=1e-9):
         """The named permutation maps triangles to triangles preserving lengths."""
-        perm = self.actions[name]
-        tri_set = {tuple(sorted(t)) for t in self.triangles.tolist()}
-        for t in self.triangles:
-            img = tuple(sorted(int(perm[v]) for v in t))
-            if img not in tri_set:
-                return False
-        for (a, b), l in self.edge_lengths.items():
-            l2 = self.edge_lengths.get(_edge_key(int(perm[a]), int(perm[b])))
-            if l2 is None or abs(l2 - l) > tol * max(1.0, l):
-                return False
-        return True
+        perm = np.asarray(self.actions[name])
+        if perm.shape != (self.n_vertices,) or np.any((perm < 0) | (perm >= self.n_vertices)):
+            return False
+        geo = self.geometry
+
+        def codes(tri):  # sorted (a, b, c): the row of edge a-b, then c; negative if a-b is no edge
+            tri = np.sort(tri, axis=1)
+            return geo.edge_index(tri[:, 0], tri[:, 1]) * geo.base + tri[:, 2]
+
+        if not np.all(np.isin(codes(perm[self.triangles]), codes(self.triangles))):
+            return False
+        row = geo.edge_index(*perm[self.edges.T])
+        off = np.abs(self.lengths[row] - self.lengths) > tol * np.maximum(1.0, self.lengths)
+        return bool(np.all(row >= 0) and not np.any(off))
 
     # -- io ----------------------------------------------------------------------
 
     def to_json(self):
-        edges = sorted(self.edge_lengths.keys())
         return {
             "format": "eigenmax-mesh",
             "counts": {"vertices": self.n_vertices, "triangles": self.n_triangles},
             "positions": [[round(float(x), 17) for x in p] for p in self.positions],
             "triangles": self.triangles.tolist(),
-            "edges": [[int(a), int(b)] for a, b in edges],
-            "edge_lengths": [float(self.edge_lengths[e]) for e in edges],
-            "density": [float(r) for r in self.density],
+            "edges": self.edges.tolist(),
+            "edge_lengths": self.lengths.tolist(),
+            "density": self.density.tolist(),
             "panels": [[int(a), int(b), lab] for (a, b), lab in sorted(self.panels.items())],
             "actions": {k: v.tolist() for k, v in sorted(self.actions.items())},
             "meta": self.meta,
         }
 
     def save(self, path):
+        # one dumps call: json.dump streams through the pure-Python encoder
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
+            fh.write(json.dumps(self.to_json(), sort_keys=True))
 
     @staticmethod
     def from_json(obj):
         if isinstance(obj, str):
             obj = json.loads(obj)
-        lengths = {
-            (int(a), int(b)): float(l)
-            for (a, b), l in zip(obj["edges"], obj["edge_lengths"])
-        }
         panels = {(int(a), int(b)): lab for a, b, lab in obj.get("panels", [])}
         actions = {k: np.asarray(v, dtype=int) for k, v in obj.get("actions", {}).items()}
         return SymmetricMesh(
             positions=np.asarray(obj["positions"], dtype=float),
             triangles=np.asarray(obj["triangles"], dtype=int),
-            edge_lengths=lengths,
+            edges=(obj["edges"], obj["edge_lengths"]),
             density=np.asarray(obj["density"], dtype=float),
             panels=panels,
             actions=actions,
@@ -378,38 +427,33 @@ def mesh_from_positions(positions, triangles, panels=None, actions=None, meta=No
     """Mesh whose reference lengths are the Euclidean distances of positions."""
     positions = np.asarray(positions, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
-    lengths = {}
-    for t in triangles:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = _edge_key(int(a), int(b))
-            if key not in lengths:
-                lengths[key] = float(np.linalg.norm(positions[key[0]] - positions[key[1]]))
+    edges = triangle_edges(triangles)
+    # vecdot takes each row's BLAS dot product, bitwise the per-edge
+    # np.linalg.norm; norm(axis=1) and einsum differ in the last bit
+    d = positions[edges[:, 0]] - positions[edges[:, 1]]
     return SymmetricMesh(
         positions=positions,
         triangles=triangles,
-        edge_lengths=lengths,
-        panels=panels or {},
-        actions=actions or {},
-        meta=meta or {},
+        edges=(edges, np.sqrt(np.vecdot(d, d))),
+        panels=panels,
+        actions=actions,
+        meta=meta,
     )
 
 
 def boundary_loops(mesh):
     """Boundary vertex loops in cyclic order (list of index lists)."""
-    succ = {}
-    for t in mesh.triangles:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = _edge_key(int(a), int(b))
-            succ.setdefault(key, []).append((int(a), int(b)))
-    # boundary edges appear once; keep their oriented form
-    nxt = {}
-    for key, occ in succ.items():
-        if len(occ) == 1:
-            a, b = occ[0]
-            nxt[b] = a  # boundary loop traversed opposite to interior orientation
+    # the oriented edges (t0, t1), (t1, t2), (t2, t0) of every triangle, in
+    # triangle order; a boundary edge is one of exactly one triangle
+    tri = mesh.triangles
+    a, b = tri, tri[:, [1, 2, 0]]
+    base = mesh.geometry.base
+    on_boundary = np.isin(np.minimum(a, b) * base + np.maximum(a, b), mesh.geometry.boundary_codes)
+    # boundary loop traversed opposite to interior orientation
+    nxt = dict(zip(b[on_boundary].tolist(), a[on_boundary].tolist()))
     loops = []
     seen = set()
-    for start in list(nxt):
+    for start in nxt:
         if start in seen:
             continue
         loop = [start]
@@ -450,13 +494,9 @@ class GluedMetricSpec:
 
 def _ordered_ring(mesh, v):
     """1-ring neighbors of v in cyclic order following triangle orientation."""
-    nxt = {}
-    for t in mesh.triangles:
-        t = [int(x) for x in t]
-        if v in t:
-            k = t.index(v)
-            a, b = t[(k + 1) % 3], t[(k + 2) % 3]
-            nxt[a] = b
+    tri = mesh.triangles
+    star, k = np.nonzero(tri == v)
+    nxt = dict(zip(tri[star, (k + 1) % 3].tolist(), tri[star, (k + 2) % 3].tolist()))
     start = next(iter(nxt))
     ring = [start]
     cur = nxt[start]
@@ -481,9 +521,8 @@ def glue_cylinder(parent, attached, spec, require_equivariant=()):
         offset = parent.n_vertices
         positions = np.vstack([parent.positions, attached.positions])
         triangles = np.vstack([parent.triangles, attached.triangles + offset])
-        lengths = dict(parent.edge_lengths)
-        for (a, b), l in attached.edge_lengths.items():
-            lengths[(a + offset, b + offset)] = l
+        edges = np.vstack([parent.edges, attached.edges + offset])
+        lengths = np.concatenate([parent.lengths, attached.lengths])
         panels = dict(parent.panels)
         for (a, b), lab in attached.panels.items():
             panels[(a + offset, b + offset)] = lab
@@ -493,7 +532,7 @@ def glue_cylinder(parent, attached, spec, require_equivariant=()):
                 actions[name] = np.concatenate(
                     [parent.actions[name], attached.actions[name] + offset]
                 )
-        combined = SymmetricMesh(positions, triangles, lengths, None, panels, actions)
+        combined = SymmetricMesh(positions, triangles, (edges, lengths), None, panels, actions)
         pairs = [(p, q + offset) for p, q in spec.pairs]
     else:
         combined = parent
@@ -528,20 +567,12 @@ def glue_cylinder(parent, attached, spec, require_equivariant=()):
             raise NonEquivariantPairing(f"action {name} does not preserve the pairing")
         if ok:
             kept_actions[name] = perm
-    combined = replace(combined, actions=kept_actions)
 
     n_t = max(1, int(np.ceil(m * L / (2 * np.pi))))
-    keep = np.ones(len(combined.triangles), dtype=bool)
-    for i, t in enumerate(combined.triangles):
-        if any(v in pair_points for v in t):
-            keep[i] = False
-    triangles = [list(t) for t in combined.triangles[keep]]
+    keep = ~np.isin(combined.triangles, pair_points).any(axis=1)
+    triangles = combined.triangles[keep].tolist()
     positions = [p for p in combined.positions]
-    lengths = {
-        e: l
-        for e, l in combined.edge_lengths.items()
-        if not (e[0] in pair_points or e[1] in pair_points)
-    }
+    lengths = {}  # cylinder edge -> flat length
 
     circ_len = 2 * np.pi * eps / m
     axial_len = L * eps / n_t
@@ -606,7 +637,7 @@ def glue_cylinder(parent, attached, spec, require_equivariant=()):
 
     # extend actions over the cylinder rows
     actions = {}
-    for name, perm in combined.actions.items():
+    for name, perm in kept_actions.items():
         new_perm = np.arange(len(positions), dtype=int)
         new_perm[: len(perm)] = perm
         ok = True
@@ -647,8 +678,14 @@ def glue_cylinder(parent, attached, spec, require_equivariant=()):
         if ok:
             actions[name] = new_perm
 
-    panels = {e: lab for e, lab in combined.panels.items() if e in lengths}
-    # drop the excised center vertices and compact indices
+    # the kept edges, except the rims, which take the cylinder's lengths
+    cyl_edges, cyl_lengths = _edge_arrays(lengths)
+    n = len(positions)
+    kept = ~np.isin(combined.edges, pair_points).any(axis=1)
+    kept &= ~np.isin(combined.edges @ [n, 1], cyl_edges @ [n, 1])
+    edges = np.vstack([combined.edges[kept], cyl_edges])
+    lengths = np.concatenate([combined.lengths[kept], cyl_lengths])
+    # drop the excised center vertices, and the panels on them, and compact indices
     triangles = np.asarray(triangles, dtype=int)
     used = np.zeros(len(positions), dtype=bool)
     used[triangles.ravel()] = True
@@ -656,17 +693,16 @@ def glue_cylinder(parent, attached, spec, require_equivariant=()):
     remap[used] = np.arange(int(used.sum()))
     positions = np.asarray(positions)[used]
     triangles = remap[triangles]
-    lengths = {(int(remap[a]), int(remap[b])): l for (a, b), l in lengths.items()}
     panels = {
         (int(remap[a]), int(remap[b])): lab
-        for (a, b), lab in panels.items()
+        for (a, b), lab in combined.panels.items()
         if used[a] and used[b]
     }
     actions = {name: remap[perm[used]] for name, perm in actions.items()}
     out = SymmetricMesh(
         positions,
         triangles,
-        lengths,
+        (remap[edges], lengths),
         None,
         panels,
         actions,

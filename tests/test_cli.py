@@ -111,9 +111,33 @@ def test_optimize_verify_roundtrip(tmp_path, capsys):
     assert run(["verify", str(out)]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["ok"]
+    checks = {c["check"]: c["ok"] for c in result["checks"]}
+    assert checks["action-isometry:tau"]
+
+    # a stored action that keeps the density invariant but is no isometry
+    # (one tau-orbit pair swapped, the rest fixed) must fail, also when the
+    # manifest is re-hashed
+    mesh_file = out / "mesh.json"
+    manifest_file = out / "manifest.json"
+    original, original_manifest = mesh_file.read_text(), manifest_file.read_text()
+    obj = json.loads(original)
+    tau = np.asarray(obj["actions"]["tau"])
+    moved = int(np.flatnonzero(tau != np.arange(len(tau)))[0])
+    swap = np.arange(len(tau))
+    swap[[moved, tau[moved]]] = [tau[moved], moved]
+    obj["actions"]["tau"] = swap.tolist()
+    mesh_file.write_text(json.dumps(obj, sort_keys=True))
+    manifest = json.loads(original_manifest)
+    manifest["outputs"]["mesh.json"] = hashlib.sha256(mesh_file.read_bytes()).hexdigest()
+    manifest_file.write_text(json.dumps(manifest))
+    assert run(["verify", str(out)]) == 2
+    checks = {c["check"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["hash:mesh.json"] and checks["density-invariant"]
+    assert not checks["action-isometry:tau"]
+    mesh_file.write_text(original)
+    manifest_file.write_text(original_manifest)
 
     # tampering with the density must fail the invariance check
-    mesh_file = out / "mesh.json"
     obj = json.loads(mesh_file.read_text())
     obj["density"][3] = obj["density"][3] * 3.0
     # vertex 3 lies on the tau mirror; also scale the first vertex tau moves

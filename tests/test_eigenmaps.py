@@ -101,7 +101,7 @@ def _union_find_nodal_count(u, mesh, rel_tol=1e-10):
             a = parent[a]
         return a
 
-    for a, b in mesh.edge_lengths:
+    for a, b in mesh.edges.tolist():
         if sign[a] != 0 and sign[a] == sign[b]:
             ra, rb = find(a), find(b)
             if ra != rb:
@@ -246,12 +246,14 @@ def _critical_vertices_loop(values, mesh):
     # read the corner angles from the mesh's law-of-cosines kernel
     from eigenmax.eigenmaps import _planar_gradient, _zero_in_cone
 
+    length = dict(zip(map(tuple, mesh.edges.tolist()), mesh.lengths.tolist()))
+
     def key(a, b):
         return (a, b) if a < b else (b, a)
 
     def star_angle(v, a, b):
-        la, lb = mesh.edge_lengths[key(v, a)], mesh.edge_lengths[key(v, b)]
-        lab = mesh.edge_lengths[key(a, b)]
+        la, lb = length[key(v, a)], length[key(v, b)]
+        lab = length[key(a, b)]
         return la, lb, np.arccos(np.clip((la**2 + lb**2 - lab**2) / (2 * la * lb), -1, 1))
 
     def ordered(v, star):

@@ -108,7 +108,7 @@ def test_quotient_mesh_keeps_side_of_smallest_vertex(name):
     perm = mesh.actions[name]
     fixed = perm == np.arange(mesh.n_vertices)
     adj = {}
-    for a, b in mesh.edge_lengths:
+    for a, b in mesh.edges.tolist():
         if not fixed[a] and not fixed[b]:
             adj.setdefault(a, []).append(b)
             adj.setdefault(b, []).append(a)

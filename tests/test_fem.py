@@ -348,10 +348,11 @@ def _lumped_mass_loop(mesh):
 
 def _steklov_panel_edges(mesh, panels, ordered):
     items = sorted(mesh.panels.items()) if ordered else mesh.panels.items()
+    length = dict(zip(map(tuple, mesh.edges.tolist()), mesh.lengths.tolist()))
     for e, lab in items:
         if (lab.startswith("mirror:") if panels is None else lab not in panels):
             continue
-        yield e, mesh.edge_lengths[e]
+        yield e, length[e]
 
 
 def _lumped_boundary_mass_loop(mesh, panels=None):
@@ -567,7 +568,7 @@ def test_unique_bars_matches_a_row_unique():
 
     from eigenmax.chambers import build_mesh
     from eigenmax.cli import parse_descriptor
-    from eigenmax.distmesh import _unique_bars
+    from eigenmax.meshcore import triangle_edges
 
     rng = np.random.default_rng(3)
     cases = [Delaunay(rng.random((n, 2))).simplices for n in (3, 40, 700)]
@@ -577,7 +578,7 @@ def test_unique_bars_matches_a_row_unique():
     cases.append(build_mesh(parse_descriptor("N_tau(1*,1+rho1)"), 600).triangles)
     cases.append(unit_disk(2).triangles)
     for tri in cases:
-        got, want = _unique_bars(tri), _unique_bars_oracle(tri)
+        got, want = triangle_edges(tri), _unique_bars_oracle(tri)
         assert got.dtype == want.dtype == tri.dtype
         assert np.array_equal(got, want)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from eigenmax.builtins import (
     round_sphere,
     unit_disk,
 )
+from eigenmax.chambers import build_mesh
+from eigenmax.cli import main as cli_main
+from eigenmax.cli import parse_descriptor
 from eigenmax.meshcore import (
     DegenerateTriangle,
     GluedMetricSpec,
@@ -16,6 +21,7 @@ from eigenmax.meshcore import (
     NonInvariantDensity,
     NonPositiveDensity,
     SymmetricMesh,
+    _edge_key,
     boundary_loops,
     export_obj,
     glue_cylinder,
@@ -98,6 +104,94 @@ def test_mesh_json_roundtrip(tmp_path):
     export_obj(mesh, tmp_path / "disk.obj")
     lines = (tmp_path / "disk.obj").read_text().splitlines()
     assert sum(1 for l in lines if l.startswith("v ")) == mesh.n_vertices
+    # save -> load -> save gives the same bytes, also for an assembled mesh
+    # with free panels
+    assembled = build_mesh(parse_descriptor("N_tau(1*,1+rho1)"), 600)
+    assert "free" in assembled.panels.values()
+    for mesh in (mesh, assembled):
+        mesh.save(tmp_path / "first.json")
+        SymmetricMesh.load(tmp_path / "first.json").save(tmp_path / "second.json")
+        first = (tmp_path / "first.json").read_bytes()
+        assert (tmp_path / "second.json").read_bytes() == first
+        assert first.decode() == json.dumps(mesh.to_json(), sort_keys=True)
+
+
+def test_edge_records_that_are_not_the_triangle_edges_are_rejected(tmp_path, capsys):
+    obj = round_sphere(1).to_json()
+    assert SymmetricMesh.from_json(obj).euler_characteristic() == 2
+    joined = set(map(tuple, obj["edges"]))
+    far = next(v for v in range(1, len(obj["positions"])) if (0, v) not in joined)
+    extra = json.loads(json.dumps(obj))
+    extra["edges"].append([0, far])
+    extra["edge_lengths"].append(1.0)
+    with pytest.raises(MeshError, match=rf"edge \(0, {far}\) bounds no triangle"):
+        SymmetricMesh.from_json(extra)
+    twice = json.loads(json.dumps(obj))
+    twice["edges"].append(twice["edges"][5])
+    twice["edge_lengths"].append(2.0 * twice["edge_lengths"][5])
+    a, b = twice["edges"][5]
+    with pytest.raises(MeshError, match=rf"edge \({a}, {b}\) is listed twice"):
+        SymmetricMesh.from_json(twice)
+    short = json.loads(json.dumps(obj))
+    short["edge_lengths"].pop()
+    with pytest.raises(MeshError, match="edges but .* reference lengths"):
+        SymmetricMesh.from_json(short)
+    stray = json.loads(json.dumps(obj))
+    stray["panels"] = [[0, far, "free"]]
+    with pytest.raises(MeshError, match=rf"panel edge \(0, {far}\) is not an edge"):
+        SymmetricMesh.from_json(stray).boundary_length()
+    # a bundle's mesh file is outside input: the CLI reports it as invalid
+    (tmp_path / "extra.json").write_text(json.dumps(extra))
+    capsys.readouterr()
+    assert cli_main(["spectrum", str(tmp_path / "extra.json")]) == 2
+    assert capsys.readouterr().err.startswith("validation: edge (0, ")
+
+
+def _check_action_loop(mesh, name, tol=1e-9):
+    # the per-triangle and per-edge walk check_action replaced
+    perm = mesh.actions[name]
+    length = dict(zip(map(tuple, mesh.edges.tolist()), mesh.lengths.tolist()))
+    tri_set = {tuple(sorted(t)) for t in mesh.triangles.tolist()}
+    for t in mesh.triangles:
+        if tuple(sorted(int(perm[v]) for v in t)) not in tri_set:
+            return False
+    for (a, b), l in length.items():
+        l2 = length.get(_edge_key(int(perm[a]), int(perm[b])))
+        if l2 is None or abs(l2 - l) > tol * max(1.0, l):
+            return False
+    return True
+
+
+def test_check_action_matches_the_walk():
+    assembled = build_mesh(parse_descriptor("N_tau(1*,1+rho1)"), 600)
+    meshes = [round_sphere(2), flat_torus(1), unit_disk(2), conformal_annulus(0.4, 1), assembled]
+    for mesh in meshes:
+        for name in mesh.actions:
+            assert mesh.check_action(name) == _check_action_loop(mesh, name) is True, name
+    # one orbit pair swapped, the rest fixed: triangle images are no triangles
+    for mesh in (round_sphere(2), assembled):
+        name = next(iter(mesh.actions))
+        perm = mesh.actions[name]
+        moved = int(np.flatnonzero(perm != np.arange(len(perm)))[0])
+        swap = np.arange(len(perm))
+        swap[[moved, perm[moved]]] = [perm[moved], moved]
+        mesh.actions["swap"] = swap
+        assert mesh.check_action("swap") == _check_action_loop(mesh, "swap") is False
+        # entries outside the vertex range are no permutation
+        mesh.actions["swap"] = np.where(swap == moved, len(swap), swap)
+        assert mesh.check_action("swap") is False
+    # one length off by more, or by less, than the tolerance
+    for mesh in (round_sphere(2), assembled):
+        name = next(iter(mesh.actions))
+        perm = mesh.actions[name]
+        a, b = mesh.edges.T
+        moved = int(np.flatnonzero((perm[a] != a) | (perm[b] != b))[0])
+        for delta, isometry in ((1e-7, False), (1e-11, True)):
+            lengths = mesh.lengths.copy()
+            lengths[moved] += delta
+            copy = SymmetricMesh(mesh.positions, mesh.triangles, (mesh.edges, lengths),
+                                 panels=mesh.panels, actions={name: perm})
+            assert copy.check_action(name) == _check_action_loop(copy, name) is isometry
 
 
 def test_glue_cylinder_two_spheres():
@@ -142,10 +236,12 @@ def test_density_copy_shares_geometry(monkeypatch):
     checks = []
     original = SymmetricMesh._check_manifold
     monkeypatch.setattr(
-        SymmetricMesh, "_check_manifold", lambda self: checks.append(1) or original(self)
+        SymmetricMesh, "_check_manifold",
+        lambda self, edges: checks.append(1) or original(self, edges),
     )
     scaled = mesh.with_density(2.0 * mesh.density)
     assert scaled.geometry is mesh.geometry
+    assert scaled.edges is mesh.edges and scaled.lengths is mesh.lengths
     assert scaled.with_density(mesh.density).geometry is mesh.geometry
     assert checks == []
     assert np.array_equal(mesh.density, np.ones(mesh.n_vertices))
@@ -157,9 +253,13 @@ def test_density_copy_shares_geometry(monkeypatch):
 def test_geometry_arrays_are_read_only():
     mesh = round_sphere(1)
     la, _, _ = mesh.all_triangle_lengths()
-    for array in (la, mesh.reference_areas(), mesh.geometry.cotangents):
+    for array in (la, mesh.reference_areas(), mesh.geometry.cotangents, mesh.lengths):
         with pytest.raises(ValueError):
             array[0] = 1.0
+    with pytest.raises(ValueError):
+        mesh.edges[0, 0] = 1
+    with pytest.raises(AttributeError):
+        mesh.lengths = mesh.lengths.copy()
 
 
 def test_invalid_triangles_rejected():
@@ -196,13 +296,13 @@ def test_quotient_half_is_complete_at_construction(monkeypatch):
     from eigenmax.equivariant import quotient_mesh
 
     built = []
-    original = SymmetricMesh.__post_init__
+    original = SymmetricMesh.__init__
 
-    def record(self):
-        original(self)
-        built.append((set(self.edge_lengths), dict(self.panels)))
+    def record(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append((set(map(tuple, self.edges.tolist())), dict(self.panels)))
 
-    monkeypatch.setattr(SymmetricMesh, "__post_init__", record)
+    monkeypatch.setattr(SymmetricMesh, "__init__", record)
     half, _ = quotient_mesh(conformal_annulus(0.4, 0), "tau")
     edges, panels = built[-1]
     tri_edges = {
@@ -210,7 +310,7 @@ def test_quotient_half_is_complete_at_construction(monkeypatch):
         for t in half.triangles.tolist()
         for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
     }
-    assert edges == tri_edges == set(half.edge_lengths)
+    assert edges == tri_edges == set(map(tuple, half.edges.tolist()))
     assert panels == half.panels
     assert set(panels) == set(half.boundary_edges())
     assert set(panels.values()) == {"free", "mirror:tau"}

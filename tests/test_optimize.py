@@ -41,7 +41,7 @@ def test_derivative_matches_central_difference():
     for base_mesh in (unit_disk(2), flat_torus(0), round_sphere(2)):
         base = 1.0 + 0.3 * rng.random(base_mesh.n_vertices)
         mesh = type(base_mesh)(
-            base_mesh.positions, base_mesh.triangles, base_mesh.edge_lengths,
+            base_mesh.positions, base_mesh.triangles, (base_mesh.edges, base_mesh.lengths),
             density=base, panels=base_mesh.panels, actions={}, meta=base_mesh.meta,
         )
         spec = laplace_spectrum(mesh, count=3)
