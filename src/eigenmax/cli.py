@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, fem
 from .builtins import builtin
 from .chambers import build_mesh
-from .equivariant import invariant_multiplicity
+from .equivariant import EquivariantError, invariant_multiplicity, orbits
 from .groups import GroupError, make_group
 from .meshcore import MeshError, SymmetricMesh
 from .optimize import OptimizeError, gap_report, maximize
@@ -333,7 +333,7 @@ def cmd_optimize(args):
         try:
             info = invariant_multiplicity(spec, final_mesh, tau)
             report["parity_split"] = info
-        except Exception as exc:  # parity may be unresolved at coarse tol
+        except EquivariantError as exc:  # parity may be unresolved at coarse tol
             report["parity_split"] = {"error": str(exc)}
     from .eigenmaps import area_bound_check, first_eigenmap, nodal_domain_count
 
@@ -358,6 +358,16 @@ def cmd_optimize(args):
         [mesh_path, state_path, report_path],
     )
     return 0
+
+
+def _triangle_orbits(mesh, chambers):
+    """Whether every triangle's orbit under the stored generators has one
+    member per chamber, as the free action of the chamber group gives."""
+    images = [mesh.triangle_images(mesh.actions[k]) for k in sorted(mesh.actions)]
+    if any(np.any(image < 0) for image in images):
+        return False, "an action maps a triangle to no triangle"
+    sizes = np.unique(np.bincount(orbits(mesh.n_triangles, images))).tolist()
+    return sizes == [chambers], f"triangle orbit sizes {sizes}, {chambers} chambers"
 
 
 def cmd_verify(args):
@@ -386,6 +396,8 @@ def cmd_verify(args):
         check("density-invariant", mesh.non_invariant_action(mesh.density) is None)
         for name in mesh.actions:
             check(f"action-isometry:{name}", mesh.check_action(name))
+        if "chambers" in mesh.meta:
+            check("action-orbits", *_triangle_orbits(mesh, mesh.meta["chambers"]))
         kind = "steklov" if mesh.has_boundary() else "laplace"
         value = fem.normalized_first(mesh, kind)
         check(

@@ -226,6 +226,7 @@ class SymmetricMesh:
         self.meta = meta or {}
         self._check_manifold(edges)
         self._check_quality()
+        self._check_actions()
 
     @property
     def edges(self):
@@ -276,6 +277,18 @@ class SymmetricMesh:
                 )
             if np.any(cosang < -1 + 1e-12):
                 raise DegenerateTriangle("triangle violates the triangle inequality")
+
+    def _check_actions(self):
+        """Rejects an action that is not one in-range index per vertex, each
+        vertex hit once."""
+        n = self.n_vertices
+        for name, perm in self.actions.items():
+            perm = np.asarray(perm)
+            hit = np.zeros(n, dtype=bool)
+            if perm.shape == (n,) and perm.dtype.kind in "iu" and np.all((perm >= 0) & (perm < n)):
+                hit[perm] = True
+            if not hit.all():
+                raise MeshError(f"action {name} is not a permutation of the {n} vertices")
 
     def all_triangle_lengths(self):
         """Read-only (la, lb, lc): per triangle, the lengths opposite corners 0, 1, 2."""
@@ -358,20 +371,29 @@ class SymmetricMesh:
                 return name
         return None
 
-    def check_action(self, name, tol=1e-9):
-        """The named permutation maps triangles to triangles preserving lengths."""
-        perm = np.asarray(self.actions[name])
-        if perm.shape != (self.n_vertices,) or np.any((perm < 0) | (perm >= self.n_vertices)):
-            return False
+    def triangle_images(self, perm):
+        """Index of the triangle that the vertex permutation perm maps each
+        triangle to, or -1 where the image is no triangle."""
         geo = self.geometry
 
         def codes(tri):  # sorted (a, b, c): the row of edge a-b, then c; negative if a-b is no edge
             tri = np.sort(tri, axis=1)
             return geo.edge_index(tri[:, 0], tri[:, 1]) * geo.base + tri[:, 2]
 
-        if not np.all(np.isin(codes(perm[self.triangles]), codes(self.triangles))):
+        own = codes(self.triangles)
+        order = np.argsort(own)
+        image = codes(perm[self.triangles])
+        at = np.minimum(np.searchsorted(own[order], image), len(own) - 1)
+        return np.where(own[order[at]] == image, order[at], -1)
+
+    def check_action(self, name, tol=1e-9):
+        """The named permutation maps triangles to triangles preserving lengths."""
+        perm = np.asarray(self.actions[name])
+        if perm.shape != (self.n_vertices,) or np.any((perm < 0) | (perm >= self.n_vertices)):
             return False
-        row = geo.edge_index(*perm[self.edges.T])
+        if np.any(self.triangle_images(perm) < 0):
+            return False
+        row = self.geometry.edge_index(*perm[self.edges.T])
         off = np.abs(self.lengths[row] - self.lengths) > tol * np.maximum(1.0, self.lengths)
         return bool(np.all(row >= 0) and not np.any(off))
 

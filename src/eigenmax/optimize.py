@@ -174,10 +174,6 @@ def _solve(mesh, kind, count, seed, start=None):
     return fem.steklov_spectrum(mesh, count=count)
 
 
-def _objective(mesh, kind, spectrum):
-    return fem.normalized_first(mesh, kind, spectrum)
-
-
 def _update_cluster(spectrum, window):
     """Eigenvalues within a relative window of the first nonzero one."""
     vals = spectrum.eigenvalues
@@ -189,23 +185,18 @@ def _update_cluster(spectrum, window):
     return i, j
 
 
-def _extremality(mesh, kind, U, w):
-    """sup-norm deviation of the flattened profile from its mean."""
+def _extremality(U, w, measure, sel):
+    """sup-norm deviation of the flattened profile from its mean, over the
+    vertices sel of the (boundary) mass measure."""
     F = (U**2) @ w
-    if kind == "laplace":
-        measure = fem.assemble_mass(mesh)
-        sel = measure > 0
-    else:
-        measure = fem.assemble_boundary_mass(mesh)
-        sel = measure > 0
     mu = measure[sel] / measure[sel].sum()
     c = float(mu @ F[sel])
     if c <= 0:
-        return np.inf, F, 1.0
-    return float(np.max(np.abs(F[sel] - c)) / c), F, c
+        return np.inf
+    return float(np.max(np.abs(F[sel] - c)) / c)
 
 
-def guard_bound(mesh, kind):
+def guard_bound(mesh):
     meta = mesh.meta.get("brs")
     if not meta:
         return None
@@ -225,7 +216,7 @@ def maximize(
     """Ascend the normalized first eigenvalue over invariant conformal densities."""
     rho = average_invariant(mesh.density, mesh)
     mesh = mesh.with_density(rho)
-    bound = guard_bound(mesh, kind)
+    bound = guard_bound(mesh)
     history = []
     best = None
     window = 0.3
@@ -235,7 +226,7 @@ def maximize(
     w = np.array([1.0])
     for it in range(1, max_iters + 1):
         spec = _solve(mesh, kind, count, seed)
-        value = _objective(mesh, kind, spec)
+        value = fem.normalized_first(mesh, kind, spec)
         if bound is not None and value >= bound:
             raise GuardViolation(
                 f"{kind} objective {value:.6f} exceeds the a-priori bound {bound:.6f}; "
@@ -248,7 +239,7 @@ def maximize(
         )
         sel = measure > 0
         w = flatten_weights((U[sel] ** 2), measure[sel])
-        residual, F, c = _extremality(mesh, kind, U, w)
+        residual = _extremality(U, w, measure, sel)
         history.append((it, value, residual))
         if callback:
             callback(it, value, residual)
@@ -317,7 +308,7 @@ def maximize(
                 # warm-started from this iterate's spectrum and factorization
                 tspec = _solve(trial, kind, max(4, j - i + 2), seed, start=spec)
                 trials += 1
-                tvalue = _objective(trial, kind, tspec)
+                tvalue = fem.normalized_first(trial, kind, tspec)
                 gain = tvalue - value
                 # accept real progress; tolerate a sub-roundoff drop only for
                 # the full step (guards against cluster reordering)

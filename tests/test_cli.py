@@ -12,6 +12,15 @@ def run(argv):
     return main(argv)
 
 
+def _rewrite_mesh(bundle, obj):
+    """Write obj as the bundle's mesh.json and re-hash it in the manifest."""
+    mesh_file, manifest_file = bundle / "mesh.json", bundle / "manifest.json"
+    mesh_file.write_text(json.dumps(obj, sort_keys=True))
+    manifest = json.loads(manifest_file.read_text())
+    manifest["outputs"]["mesh.json"] = hashlib.sha256(mesh_file.read_bytes()).hexdigest()
+    manifest_file.write_text(json.dumps(manifest))
+
+
 def test_parse_descriptor_strings():
     assert parse_descriptor("M(1)").label() == "M(1)"
     assert parse_descriptor("M(Z2,1+rho1)").label() == "M(1*,1+rho1)"
@@ -112,7 +121,7 @@ def test_optimize_verify_roundtrip(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["ok"]
     checks = {c["check"]: c["ok"] for c in result["checks"]}
-    assert checks["action-isometry:tau"]
+    assert checks["action-isometry:tau"] and checks["action-orbits"]
 
     # a stored action that keeps the density invariant but is no isometry
     # (one tau-orbit pair swapped, the rest fixed) must fail, also when the
@@ -126,10 +135,7 @@ def test_optimize_verify_roundtrip(tmp_path, capsys):
     swap = np.arange(len(tau))
     swap[[moved, tau[moved]]] = [tau[moved], moved]
     obj["actions"]["tau"] = swap.tolist()
-    mesh_file.write_text(json.dumps(obj, sort_keys=True))
-    manifest = json.loads(original_manifest)
-    manifest["outputs"]["mesh.json"] = hashlib.sha256(mesh_file.read_bytes()).hexdigest()
-    manifest_file.write_text(json.dumps(manifest))
+    _rewrite_mesh(out, obj)
     assert run(["verify", str(out)]) == 2
     checks = {c["check"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["hash:mesh.json"] and checks["density-invariant"]
@@ -173,10 +179,7 @@ def test_optimize_and_verify_full_table_bundle(tmp_path, capsys):
     # older bundles list every group element: add the composite back
     tau, rho1 = (np.asarray(obj["actions"][k]) for k in ("tau", "rho1"))
     obj["actions"]["tau.rho1"] = tau[rho1].tolist()
-    mesh_file.write_text(json.dumps(obj, sort_keys=True))
-    manifest = json.loads((bundle / "manifest.json").read_text())
-    manifest["outputs"]["mesh.json"] = hashlib.sha256(mesh_file.read_bytes()).hexdigest()
-    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    _rewrite_mesh(bundle, obj)
     capsys.readouterr()
     assert run(["verify", str(bundle)]) == 0
     assert json.loads(capsys.readouterr().out)["ok"]
@@ -186,6 +189,40 @@ def test_optimize_and_verify_full_table_bundle(tmp_path, capsys):
     assert run(["optimize", str(mesh_file), "--max-iters", "2", "--out", str(again)]) == 0
     assert "gap" in json.loads((again / "report.json").read_text())
     capsys.readouterr()
+
+
+def test_verify_rejects_an_action_that_is_no_permutation(tmp_path, capsys):
+    bundle = tmp_path / "run"
+    assert run(["optimize", "M(1)", "--resolution", "700", "--max-iters", "1",
+                "--out", str(bundle)]) == 0
+    obj = json.loads((bundle / "mesh.json").read_text())
+    tau = obj["actions"]["tau"]
+    # one entry short, and an index listed twice (so another one never)
+    for bad in (tau[:-1], [tau[1]] + tau[1:]):
+        obj["actions"]["tau"] = bad
+        _rewrite_mesh(bundle, obj)
+        capsys.readouterr()
+        assert run(["verify", str(bundle)]) == 2
+        assert "validation: action tau is not a permutation" in capsys.readouterr().err
+
+
+def test_verify_rejects_actions_that_do_not_generate_the_chamber_group(tmp_path, capsys):
+    # identity permutations are isometries that keep every density invariant;
+    # only their triangle orbits, of one member instead of one per chamber,
+    # tell them from the generators of the chamber group
+    bundle = tmp_path / "run"
+    assert run(["optimize", "M(Z2,1+rho1)", "--resolution", "400", "--max-iters", "1",
+                "--out", str(bundle)]) == 0
+    obj = json.loads((bundle / "mesh.json").read_text())
+    assert sorted(obj["actions"]) == ["rho1", "tau"] and obj["meta"]["chambers"] == 4
+    for name in obj["actions"]:
+        obj["actions"][name] = list(range(obj["counts"]["vertices"]))
+    _rewrite_mesh(bundle, obj)
+    capsys.readouterr()
+    assert run(["verify", str(bundle)]) == 2
+    checks = {c["check"]: c["ok"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert not checks.pop("action-orbits")
+    assert all(checks.values())
 
 
 def test_determinism_of_reports(tmp_path):

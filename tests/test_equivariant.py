@@ -13,10 +13,10 @@ from eigenmax.equivariant import (
     NotInvolution,
     average_invariant,
     invariant_multiplicity,
-    labeled_first,
+    labeled_spectra_json,
     parity_split_spectrum,
-    quotient_mesh,
     sector_basis,
+    sector_spectrum,
 )
 from eigenmax.fem import (
     assemble_boundary_mass,
@@ -93,44 +93,11 @@ def test_sector_basis_counts():
     assert even.shape[1] - odd.shape[1] == n_fixed
 
 
-def test_quotient_mesh_halves():
-    mesh = build_mesh(sphere_family(1), 800)
-    half, _ = quotient_mesh(mesh, "tau")
-    assert half.euler_characteristic() == 1  # a disk
-    assert "mirror:tau" in half.panel_labels()
-    assert half.area() == pytest.approx(mesh.area() / 2, rel=1e-9)
-
-
-@pytest.mark.parametrize("name", ["tau", "rho1"])
-def test_quotient_mesh_keeps_side_of_smallest_vertex(name):
-    # reference: depth-first search of the off-mirror part in vertex order
-    mesh = build_mesh(closed_surface(make_group("onestar"), TypeB.make(f=1, e={0: 1})), 900)
-    perm = mesh.actions[name]
-    fixed = perm == np.arange(mesh.n_vertices)
-    adj = {}
-    for a, b in mesh.edges.tolist():
-        if not fixed[a] and not fixed[b]:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-    start = int(np.flatnonzero(~fixed)[0])
-    side0, stack = {start}, [start]
-    while stack:
-        for w in adj.get(stack.pop(), []):
-            if w not in side0:
-                side0.add(w)
-                stack.append(w)
-    keep = fixed.copy()
-    keep[sorted(side0)] = True
-    half, new_index = quotient_mesh(mesh, name)
-    assert np.array_equal(new_index >= 0, keep)
-    assert half.n_vertices == int(keep.sum())
-
-
 def test_labeled_first_matches_projection():
     mesh = build_mesh(sphere_family(1), 800)
     even, odd = parity_split_spectrum(mesh, "tau", count=5)
-    lam_plus, _, _ = labeled_first(mesh, {"tau": +1}, "laplace")
-    lam_minus, _, _ = labeled_first(mesh, {"tau": -1}, "laplace")
+    lam_plus = sector_spectrum(mesh, {"tau": +1}, "laplace").first_nonzero()
+    lam_minus = sector_spectrum(mesh, {"tau": -1}, "laplace").first_nonzero()
     assert lam_plus == pytest.approx(even.first_nonzero(), rel=1e-6)
     assert lam_minus == pytest.approx(odd.eigenvalues[0], rel=1e-6)
 
@@ -139,32 +106,55 @@ def test_hemisphere_neumann_dirichlet_value():
     # round hemisphere: both the Neumann and Dirichlet first eigenvalues are 2,
     # and Area * min = 4pi, the disk value of the mixed maximization problem
     mesh = build_mesh(sphere_family(1), 2000)
-    lam_neu, _, dom = labeled_first(mesh, {"tau": +1}, "laplace")
-    lam_dir, _, _ = labeled_first(mesh, {"tau": -1}, "laplace")
+    lam_neu = sector_spectrum(mesh, {"tau": +1}, "laplace").first_nonzero()
+    lam_dir = sector_spectrum(mesh, {"tau": -1}, "laplace").first_nonzero()
     assert lam_neu == pytest.approx(2.0, rel=2e-2)
     assert lam_dir == pytest.approx(2.0, rel=2e-2)
-    assert dom.area() * min(lam_neu, lam_dir) == pytest.approx(4 * np.pi, rel=3e-2)
+    assert mesh.area() / 2 * min(lam_neu, lam_dir) == pytest.approx(4 * np.pi, rel=3e-2)
 
 
 def test_labeled_steklov_annulus():
     ann = conformal_annulus(1.1997 / np.pi, 1)
     full = steklov_spectrum(ann, count=5)
-    lam_pp, _, _ = labeled_first(ann, {"tau": +1, "stheta": +1}, "steklov")
+    lam_pp = sector_spectrum(ann, {"tau": +1, "stheta": +1}, "steklov").first_nonzero()
     assert lam_pp >= full.first_nonzero() - 1e-10
-    # two x-reflections about nearby axes are involutions that do not commute
     mesh = flat_torus(0)
-    m = 8
-    my = mesh.n_vertices // (2 * m)
+    mesh.actions["bad"] = _shifted_x_reflection(mesh)
+    with pytest.raises(NonCommuting):
+        sector_spectrum(mesh, {"sx": +1, "bad": -1}, "laplace")
+
+
+def _shifted_x_reflection(torus):
+    """The flat_torus reflection x -> 2/m - x: an involution that does not
+    commute with sx, a reflection about a nearby axis."""
+    m = 8 * 2 ** torus.meta["level"]
+    my = torus.n_vertices // (2 * m)
     corner = lambda i, j: (i % m) * my + (j % my)
     center = lambda i, j: m * my + (i % m) * my + (j % my)
-    bad = np.zeros(mesh.n_vertices, dtype=int)
+    bad = np.zeros(torus.n_vertices, dtype=int)
     for i in range(m):
         for j in range(my):
             bad[corner(i, j)] = corner(2 - i, j)
             bad[center(i, j)] = center(2 - i - 1, j)
-    mesh.actions["bad"] = bad
+    return bad
+
+
+def test_sector_spectrum_of_a_non_separating_involution():
+    # the half-turn sx*sy fixes 4 vertices and does not cut the torus in two
+    # halves, so no fundamental domain with a mirror exists; its sectors still
+    # merge to the full spectrum
+    mesh = flat_torus(1)
+    half = mesh.actions["sx"][mesh.actions["sy"]]
+    assert np.sum(half == np.arange(mesh.n_vertices)) == 4
+    mesh.actions["half"] = half
+    full = laplace_spectrum(mesh, count=9).eigenvalues[:9]
+    even = sector_spectrum(mesh, {"half": +1}, count=9)
+    odd = sector_spectrum(mesh, {"half": -1}, count=9)
+    merged = np.sort(np.concatenate([even.eigenvalues, odd.eigenvalues]))[:9]
+    assert np.all(np.abs(merged - full) <= 1e-9 * np.max(full))
+    mesh.actions["bad"] = _shifted_x_reflection(mesh)
     with pytest.raises(NonCommuting):
-        labeled_first(mesh, {"sx": +1, "bad": -1}, "laplace")
+        sector_spectrum(mesh, {"half": +1, "bad": -1})
 
 
 def test_invariant_multiplicity():
@@ -181,8 +171,6 @@ def test_invariant_multiplicity():
 
 
 def test_labeled_spectra_json():
-    from eigenmax.equivariant import labeled_spectra_json
-
     ann = conformal_annulus(0.5, 0)
     out = labeled_spectra_json(ann, ["tau", "stheta"], kind="steklov", count=3)
     assert set(out) == {"++", "+-", "-+", "--"}

@@ -297,10 +297,9 @@ def test_failed_warm_start_falls_back_to_a_fresh_solve(monkeypatch, caplog, fail
 
 
 def _reference_meshes():
-    from eigenmax.builtins import conformal_annulus
     from eigenmax.chambers import build_mesh
     from eigenmax.cli import parse_descriptor
-    from eigenmax.equivariant import average_invariant, quotient_mesh
+    from eigenmax.equivariant import average_invariant
 
     rng = np.random.default_rng(5)
     meshes = [
@@ -308,8 +307,8 @@ def _reference_meshes():
         unit_disk(2),
         flat_cylinder(1.0, 1),
         build_mesh(parse_descriptor("N_tau(1*,1+rho1)"), target_vertices=500),
-        # "free" and "mirror:tau" panels: the default selection skips the mirror
-        quotient_mesh(conformal_annulus(0.4, 1), "tau")[0],
+        # "free" and "mirror:rho1" panels: the default selection skips the mirror
+        _free_and_mirror_chamber(),
     ]
     for mesh in meshes:
         rho = average_invariant(np.exp(0.3 * rng.standard_normal(mesh.n_vertices)), mesh)
@@ -436,27 +435,35 @@ def _dtn_key(steklov_panels=None, dirichlet_panels=()):
     return ("dtn", None if steklov_panels is None else frozenset(steklov_panels), frozenset(dirichlet_panels))
 
 
+def _free_and_mirror_chamber():
+    """The chamber of the onestar type f=1, e={0: 1} (690 vertices, an annulus)
+    with its tau mirror relabelled 'free': panels 'free' and 'mirror:rho1'."""
+    from eigenmax.chambers import chamber_mesh
+    from eigenmax.groups import make_group
+    from eigenmax.taxonomy import TypeB
+
+    chamber = chamber_mesh(make_group("onestar"), TypeB.make(f=1, e={0: 1}), 0.1)
+    panels = {e: "free" if lab == "mirror:tau" else lab for e, lab in chamber.panels.items()}
+    return SymmetricMesh(chamber.positions, chamber.triangles, (chamber.edges, chamber.lengths),
+                         panels=panels)
+
+
 def _steklov_cases():
-    """(mesh, steklov_panels, dirichlet_panels): pure Steklov problems, and mixed
-    ones with Dirichlet conditions on a mirror of the half mesh."""
+    """(mesh, steklov_panels, dirichlet_panels): pure Steklov problems, and a
+    mixed one with Dirichlet conditions on a mirror panel."""
     from eigenmax.chambers import build_mesh
     from eigenmax.cli import parse_descriptor
-    from eigenmax.equivariant import average_invariant, quotient_mesh
+    from eigenmax.equivariant import average_invariant
 
     cases = []
-    for mesh, mirror in (
-        (unit_disk(2), "sy"),
-        (conformal_annulus(1.1997 / np.pi, 1), "tau"),
-        (build_mesh(parse_descriptor("N_tau(1*,1+rho1)"), 600), "rho1"),
+    for mesh in (
+        unit_disk(2),
+        conformal_annulus(1.1997 / np.pi, 1),
+        build_mesh(parse_descriptor("N_tau(1*,1+rho1)"), 600),
     ):
         rho = average_invariant(1.0 + 0.3 * mesh.positions[:, 0] ** 2, mesh)
-        half, _ = quotient_mesh(mesh, mirror)
-        cases += [
-            (mesh, None, ()),
-            (mesh.with_density(rho), None, ()),
-            (half, ["free"], [f"mirror:{mirror}"]),
-        ]
-    return cases
+        cases += [(mesh, None, ()), (mesh.with_density(rho), None, ())]
+    return cases + [(_free_and_mirror_chamber(), ["free"], ["mirror:rho1"])]
 
 
 def _full_eigh_oracle(dtn, Bb):

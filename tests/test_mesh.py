@@ -291,27 +291,3 @@ def test_lengths_violating_the_triangle_inequality_are_rejected():
     with pytest.raises(DegenerateTriangle, match="triangle inequality"):
         SymmetricMesh(pos, [(0, 1, 2)], lengths)
 
-
-def test_quotient_half_is_complete_at_construction(monkeypatch):
-    from eigenmax.equivariant import quotient_mesh
-
-    built = []
-    original = SymmetricMesh.__init__
-
-    def record(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        built.append((set(map(tuple, self.edges.tolist())), dict(self.panels)))
-
-    monkeypatch.setattr(SymmetricMesh, "__init__", record)
-    half, _ = quotient_mesh(conformal_annulus(0.4, 0), "tau")
-    edges, panels = built[-1]
-    tri_edges = {
-        (min(a, b), max(a, b))
-        for t in half.triangles.tolist()
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
-    }
-    assert edges == tri_edges == set(map(tuple, half.edges.tolist()))
-    assert panels == half.panels
-    assert set(panels) == set(half.boundary_edges())
-    assert set(panels.values()) == {"free", "mirror:tau"}
-    assert half.euler_characteristic() == 0
