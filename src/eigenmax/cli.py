@@ -25,9 +25,9 @@ import numpy as np
 from . import __version__, fem
 from .builtins import builtin
 from .chambers import build_mesh
-from .equivariant import EquivariantError, invariant_multiplicity, orbits
+from .equivariant import EquivariantError, invariant_multiplicity
 from .groups import GroupError, make_group
-from .meshcore import MeshError, SymmetricMesh
+from .meshcore import MeshError, SymmetricMesh, orbits
 from .optimize import OptimizeError, gap_report, maximize
 from .taxonomy import (
     SurfaceDescriptor,

@@ -1,7 +1,9 @@
 """Exploiting the group action: invariant averaging and parity sectors.
 
 A joint parity sector of commuting involutions is solved on the whole mesh,
-in the orbit coordinates of ``sector_basis``, by ``sector_spectrum``."""
+in the orbit coordinates of ``sector_basis``, by ``sector_spectrum``.
+``orbits`` and ``sector_basis`` (and ``NonCommuting``, which it raises) live
+in meshcore, where fem's Steklov sector blocks use them too."""
 
 from __future__ import annotations
 
@@ -11,27 +13,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import assemble_boundary_mass, assemble_mass, assemble_stiffness, restricted_spectrum
-from .meshcore import MeshError, components
-
-
-class EquivariantError(MeshError):
-    pass
+from .meshcore import EquivariantError, NonCommuting, orbits, sector_basis  # noqa: F401
 
 
 class NotInvolution(EquivariantError):
     pass
-
-
-class NonCommuting(EquivariantError):
-    pass
-
-
-def orbits(n, perms):
-    """Orbit label of each of range(n) under the permutations, numbered in
-    the order of each orbit's smallest member."""
-    source = np.tile(np.arange(n), len(perms))
-    target = np.concatenate(perms) if perms else source
-    return components(np.arange(n), source, target)[1]
 
 
 def vertex_orbits(mesh):
@@ -56,43 +42,6 @@ def _involution_perm(mesh, name):
     if not np.array_equal(perm[perm], np.arange(mesh.n_vertices)):
         raise NotInvolution(f"{name} is not an involution on vertices")
     return perm
-
-
-def _check_commuting(perms):
-    for pa in perms:
-        for pb in perms:
-            if not np.array_equal(pa[pb], pb[pa]):
-                raise NonCommuting("involutions must commute for a joint parity label")
-
-
-def sector_basis(n, perms, signs):
-    """Sparse orthonormal basis of the joint (+/-) sector of commuting involutions.
-
-    Basis vectors are orbit sums weighted by the sign character, relative to
-    the orbit's smallest vertex, in the order of that vertex; orbits on which
-    the character is inconsistent (fixed by an odd generator) drop out.
-    """
-    _check_commuting(perms)
-    labels = orbits(n, perms)
-    roots = np.unique(labels, return_index=True)[1]  # each orbit's smallest vertex
-    # the character of the element that carries each orbit's smallest vertex
-    # to a vertex; the group elements are the products of the involutions
-    sign = np.zeros(n)
-    consistent = np.ones(len(roots), dtype=bool)
-    group, chars = [np.arange(n)], [1.0]
-    for perm, s in zip(perms, signs):
-        group += [g[perm] for g in group]
-        chars += [c * s for c in chars]
-    for g, c in zip(group, chars):
-        images = g[roots]
-        consistent &= (sign[images] == 0) | (sign[images] == c)
-        sign[images] = c
-    norm = 1.0 / np.sqrt(np.bincount(labels))
-    columns = np.cumsum(consistent) - 1
-    rows = np.flatnonzero(consistent[labels])
-    orbit = labels[rows]
-    vals = sign[rows] * norm[orbit]
-    return sp.csr_matrix((vals, (rows, columns[orbit])), shape=(n, int(consistent.sum())))
 
 
 def sector_spectrum(mesh, labels, kind="laplace", count=6, seed=0):

@@ -11,6 +11,7 @@ at the discrete level.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import logging
 import warnings
 from dataclasses import dataclass, replace
@@ -21,7 +22,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .meshcore import _frozen
+from .meshcore import _frozen, sector_basis
 
 DEFAULT_CLUSTER_TOL = 1e-3
 # LOBPCG of a warm-started solve stops at residuals |K u - lambda M u| below
@@ -367,7 +368,8 @@ def restricted_spectrum(kind, K, M, count, lift, mesh_mass, seed=0, tol=1e-9):
     K is the sparse stiffness and M the diagonal mass (Laplace) or boundary
     mass (Steklov) in those coordinates; lift maps a block of coordinate
     vectors to mesh vectors, and mesh_mass is the mesh mass reported with
-    them.  Steklov vectors are extended and lifted on the first read of
+    them.  A Steklov problem is solved as one identity block, eigenvalues
+    first; its traces are computed, extended and lifted on the first read of
     Spectrum.vectors.
     """
     if kind == "laplace":
@@ -392,6 +394,23 @@ def _harmonic_solve(K, interior, boundary, rhs_at_boundary):
 
 
 @dataclass(frozen=True)
+class _SectorBlock:
+    """The Dirichlet-to-Neumann matrix D in one joint sign sector of the
+    Steklov dofs: R^T D R for the sector's orthonormal orbit basis R, and
+    R as index gathers."""
+
+    dtn: np.ndarray  # (k, k) R^T D R
+    rows: np.ndarray  # the Steklov dof of each nonzero of R
+    cols: np.ndarray  # its column
+    vals: np.ndarray  # its value
+    squares: np.ndarray  # vals**2: R∘R, which maps Bb to the block's diagonal mass
+
+    def mass(self, Bb):
+        """Diagonal of R^T diag(Bb) R: the orbit mean of Bb for an invariant Bb."""
+        return np.bincount(self.cols, weights=self.squares * Bb[self.rows], minlength=len(self.dtn))
+
+
+@dataclass(frozen=True)
 class _DirichletToNeumann:
     """Density-independent Schur complement of a stiffness onto its Steklov dofs."""
 
@@ -399,6 +418,8 @@ class _DirichletToNeumann:
     interior: np.ndarray  # the remaining dofs
     dtn: np.ndarray  # (s, s) symmetric Dirichlet-to-Neumann matrix
     harmonic: np.ndarray  # (i, s) interior values of the harmonic extensions
+    symmetries: tuple  # commuting involutions of the Steklov dofs that leave dtn unchanged
+    blocks: tuple  # a _SectorBlock per nonempty joint sign sector of the symmetries
 
 
 def _dirichlet_to_neumann(K, on_steklov):
@@ -406,6 +427,7 @@ def _dirichlet_to_neumann(K, on_steklov):
     boolean mask on_steklov, and the harmonic extensions of its unit traces.
 
     K restricted to the remaining (interior) dofs must be positive definite.
+    The record has one identity block.
     """
     b = np.flatnonzero(on_steklov)
     i = np.flatnonzero(~on_steklov)
@@ -415,17 +437,65 @@ def _dirichlet_to_neumann(K, on_steklov):
     Kbi = K[b][:, i]
     Ui = _harmonic_solve(K, i, b, np.eye(len(b)))
     dtn = Kbb + Kbi @ Ui
-    dtn = 0.5 * (dtn + dtn.T)
-    return _DirichletToNeumann(_frozen(b), _frozen(i), _frozen(dtn), _frozen(Ui))
+    dtn = _frozen(0.5 * (dtn + dtn.T))
+    return _DirichletToNeumann(_frozen(b), _frozen(i), dtn, _frozen(Ui), (), _sector_blocks(dtn, ()))
 
 
 def _mesh_dirichlet_to_neumann(mesh, on_boundary, dirichlet_panels):
     """The Schur complement of K on the vertices off the Dirichlet panels,
-    its Steklov and interior dofs given as mesh vertices."""
+    its Steklov and interior dofs given as mesh vertices, split into the
+    sign sectors of the mesh's involutions that are symmetries of it."""
     free = np.flatnonzero(_free_vertices(mesh, dirichlet_panels))
     K = assemble_stiffness(mesh)[free][:, free].tocsr()
     dtn = _dirichlet_to_neumann(K, on_boundary[free])
-    return replace(dtn, steklov=_frozen(free[dtn.steklov]), interior=_frozen(free[dtn.interior]))
+    steklov = free[dtn.steklov]
+    symmetries = _dtn_symmetries(dtn.dtn, steklov, mesh.actions)
+    return replace(
+        dtn,
+        steklov=_frozen(steklov),
+        interior=_frozen(free[dtn.interior]),
+        symmetries=symmetries,
+        blocks=_sector_blocks(dtn.dtn, symmetries),
+    )
+
+
+def _dtn_symmetries(dtn, steklov, actions):
+    """The stored actions, in sorted name order, as permutations of the
+    Steklov dofs: each one kept that is an involution of them, commutes with
+    those kept before it and leaves dtn unchanged to 1e-10 of max|dtn| (an
+    action that is no isometry does not)."""
+    tol = 1e-10 * np.max(np.abs(dtn))
+    kept = []
+    for name in sorted(actions):
+        image = np.asarray(actions[name])[steklov]
+        local = np.minimum(np.searchsorted(steklov, image), len(steklov) - 1)
+        if not np.array_equal(steklov[local], image):
+            continue  # moves a Steklov dof off the Steklov dofs
+        if not np.array_equal(local[local], np.arange(len(local))):
+            continue
+        if not all(np.array_equal(local[p], p[local]) for p in kept):
+            continue
+        if np.max(np.abs(dtn[np.ix_(local, local)] - dtn)) > tol:
+            continue
+        kept.append(_frozen(local))
+    return tuple(kept)
+
+
+def _sector_blocks(dtn, perms):
+    """A _SectorBlock for every nonempty joint sign sector of the commuting
+    involutions perms of the dofs of dtn; without involutions, the identity."""
+    s = len(dtn)
+    blocks = []
+    for signs in itertools.product((1.0, -1.0), repeat=len(perms)):
+        R = sector_basis(s, list(perms), signs).tocoo()
+        if R.shape[1] == 0:
+            continue
+        block = R.T @ (R.T @ dtn).T
+        blocks.append(_SectorBlock(
+            _frozen(0.5 * (block + block.T)), _frozen(R.row), _frozen(R.col), _frozen(R.data),
+            _frozen(R.data**2),
+        ))
+    return tuple(blocks)
 
 
 def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=()):
@@ -434,9 +504,11 @@ def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=()):
     The pencil is K u = sigma B u with B supported on the Steklov panels;
     eigenvectors are the discrete harmonic extensions of their boundary
     traces.  The Schur complement does not depend on the density and is
-    computed once per mesh geometry and boundary-condition choice, so a solve
-    is the lowest count pairs of one dense boundary problem.  The traces are
-    extended into the interior on the first read of Spectrum.vectors.
+    computed, and split into the sign sectors of the mesh's involutions that
+    are its symmetries, once per mesh geometry and boundary-condition choice;
+    a solve is the lowest eigenvalues of those dense blocks.  The traces are
+    computed and extended into the interior on the first read of
+    Spectrum.vectors.
     """
     if not mesh.has_boundary():
         raise NoBoundary("Steklov problem needs a boundary")
@@ -449,38 +521,72 @@ def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=()):
 
 
 def _dtn_spectrum(dtn, B, count, mass, lift=None):
-    """Lowest count Steklov pairs of a Schur complement; B is the boundary mass
-    on its coordinates.  Vectors are extended, and lifted to the mesh by lift,
-    on the first read of Spectrum.vectors."""
+    """Lowest count Steklov eigenvalues of a Schur complement; B is the
+    boundary mass on its coordinates.  Traces are computed, extended and
+    lifted to the mesh by lift on the first read of Spectrum.vectors."""
     Bb = B[dtn.steklov]
+    blocks = dtn.blocks
+    if not all(np.all(np.abs(Bb[p] - Bb) <= 1e-12 * Bb) for p in dtn.symmetries):
+        blocks = _sector_blocks(dtn.dtn, ())  # a density the symmetries do not keep
     count = int(min(count, len(dtn.steklov)))
-    vals, traces = boundary_eigenpairs(dtn.dtn, Bb, count)
+    vals = boundary_eigenvalues(blocks, Bb, count)
     n_zero = _zero_count(vals, vals[-1] if len(vals) else 1.0)
-    extend = partial(_harmonic_vectors, dtn, traces, len(B), lift)
+    extend = partial(_harmonic_vectors, dtn, blocks, Bb, count, len(B), lift)
     return Spectrum(vals, extend, mass, "steklov", n_zero=n_zero)
 
 
-def boundary_eigenpairs(dtn, Bb, count):
-    """Lowest count eigenpairs of the dense pencil dtn u = sigma Bb u.
+def boundary_eigenvalues(blocks, Bb, count):
+    """Lowest count eigenvalues of the dense pencil D u = sigma Bb u, given as
+    its sector blocks; Bb is diagonal, positive and invariant."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    if count == 0:
+        return np.zeros(0)
+    return np.sort(np.concatenate([_block_solve(b, Bb, count, False) for b in blocks]))[:count]
 
-    Bb is diagonal and positive, so the pencil is the standard problem for
-    Bb^-1/2 dtn Bb^-1/2, of which LAPACK's dsyevr computes the wanted pairs
-    only.  Returns ascending values and Bb-orthonormal vectors.
-    """
+
+def boundary_eigenpairs(blocks, Bb, count):
+    """Lowest count eigenpairs of the pencil of boundary_eigenvalues: ascending
+    values and Bb-orthonormal vectors on the Steklov dofs."""
     if count < 0:
         raise ValueError("count must be >= 0")
     if count == 0:
         return np.zeros(0), np.zeros((len(Bb), 0))
-    scale = 1.0 / np.sqrt(Bb)
-    vals, modes = scipy.linalg.eigh(
-        scale[:, None] * dtn * scale[None, :], subset_by_index=[0, count - 1], driver="evr"
+    vals, vecs = [], []
+    for block in blocks:
+        values, Y = _block_solve(block, Bb, count, True)
+        lifted = np.zeros((len(Bb), len(values)))  # R @ Y
+        lifted[block.rows] = block.vals[:, None] * Y[block.cols]
+        vals.append(values)
+        vecs.append(lifted)
+    vals, vecs = np.concatenate(vals), np.hstack(vecs)
+    order = np.argsort(vals, kind="stable")[:count]
+    return _mass_orthonormalize(vals[order], vecs[:, order], Bb)
+
+
+def _block_solve(block, Bb, count, vectors):
+    """Lowest min(count, size) eigenvalues of a block (with vectors: and its
+    mass-orthonormal eigenvectors in the block's coordinates).  The block's
+    diagonal mass is positive, so the pencil is the standard problem for
+    mass^-1/2 block mass^-1/2, of which LAPACK's dsyevr computes the wanted
+    values only."""
+    scale = 1.0 / np.sqrt(block.mass(Bb))
+    wanted = min(count, len(scale)) - 1
+    out = scipy.linalg.eigh(
+        scale[:, None] * block.dtn * scale[None, :], eigvals_only=not vectors,
+        subset_by_index=[0, wanted], driver="evr", check_finite=False,
     )
-    return _mass_orthonormalize(vals, scale[:, None] * modes, Bb)
+    if not vectors:
+        return out
+    vals, modes = out
+    return vals, scale[:, None] * modes
 
 
-def _harmonic_vectors(dtn, traces, n, lift):
-    """Vectors on n coordinates: the traces on the Steklov dofs, their harmonic
-    extensions on the interior ones and zero elsewhere; mapped by lift if given."""
+def _harmonic_vectors(dtn, blocks, Bb, count, n, lift):
+    """Vectors on n coordinates: the Bb-orthonormal traces of the lowest count
+    pairs on the Steklov dofs, their harmonic extensions on the interior ones
+    and zero elsewhere; mapped by lift if given."""
+    traces = boundary_eigenpairs(blocks, Bb, count)[1]
     vecs = np.zeros((n, traces.shape[1]))
     vecs[dtn.steklov] = traces
     vecs[dtn.interior] = dtn.harmonic @ traces

@@ -49,6 +49,14 @@ class OverlappingDisks(MeshError):
     pass
 
 
+class EquivariantError(MeshError):
+    pass
+
+
+class NonCommuting(EquivariantError):
+    pass
+
+
 def _edge_key(a, b):
     return (a, b) if a < b else (b, a)
 
@@ -64,6 +72,52 @@ def components(vertices, a, b):
     n = len(vertices)
     graph = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
     return connected_components(graph, directed=False)
+
+
+def orbits(n, perms):
+    """Orbit label of each of range(n) under the permutations, numbered in
+    the order of each orbit's smallest member."""
+    source = np.tile(np.arange(n), len(perms))
+    target = np.concatenate(perms) if perms else source
+    return components(np.arange(n), source, target)[1]
+
+
+def _check_commuting(perms):
+    for pa in perms:
+        for pb in perms:
+            if not np.array_equal(pa[pb], pb[pa]):
+                raise NonCommuting("involutions must commute for a joint parity label")
+
+
+def sector_basis(n, perms, signs):
+    """Sparse orthonormal basis of the joint (+/-) sector of commuting involutions.
+
+    Basis vectors are orbit sums weighted by the sign character, relative to
+    the orbit's smallest vertex, in the order of that vertex; orbits on which
+    the character is inconsistent (fixed by an odd generator) drop out.
+    Without involutions it is the identity.
+    """
+    _check_commuting(perms)
+    labels = orbits(n, perms)
+    roots = np.unique(labels, return_index=True)[1]  # each orbit's smallest vertex
+    # the character of the element that carries each orbit's smallest vertex
+    # to a vertex; the group elements are the products of the involutions
+    sign = np.zeros(n)
+    consistent = np.ones(len(roots), dtype=bool)
+    group, chars = [np.arange(n)], [1.0]
+    for perm, s in zip(perms, signs):
+        group += [g[perm] for g in group]
+        chars += [c * s for c in chars]
+    for g, c in zip(group, chars):
+        images = g[roots]
+        consistent &= (sign[images] == 0) | (sign[images] == c)
+        sign[images] = c
+    norm = 1.0 / np.sqrt(np.bincount(labels))
+    columns = np.cumsum(consistent) - 1
+    rows = np.flatnonzero(consistent[labels])
+    orbit = labels[rows]
+    vals = sign[rows] * norm[orbit]
+    return sp.csr_matrix((vals, (rows, columns[orbit])), shape=(n, int(consistent.sum())))
 
 
 def edge_table(triangles, base):
@@ -210,9 +264,10 @@ class SymmetricMesh:
         only the generators.  Bundles that list every element still load.
     meta: free-form provenance (descriptor, builtin name, BRS flags)
 
-    triangles and panels must not be mutated after construction: the
-    density-independent ``geometry`` is derived from them once and shared by
-    every ``with_density`` copy.
+    triangles and panels must not be mutated after construction, nor actions
+    after the first Steklov solve: the density-independent ``geometry`` is
+    derived from them once (the actions give its Steklov sector blocks) and
+    shared by every ``with_density`` copy.
     """
 
     def __init__(self, positions, triangles, edges, density=None, panels=None, actions=None,

@@ -55,12 +55,28 @@ def test_average_is_mass_orthogonal_projection():
 
 
 def test_chamber_indicator_average():
+    # the indicator of chamber 0 (its copies are the first chamber_vertices
+    # vertices and the first 1/chambers of the triangles) averages, at each
+    # vertex, to the fraction of the vertex's orbit that lies in the chamber:
+    # 1/chambers at the chamber's interior vertices
     mesh = build_mesh(sphere_family(1), 600)
-    nv = mesh.meta["chamber_vertices"]
-    # indicator of one chamber averages to 1/|orbit| at interior vertices
-    field = np.zeros(mesh.n_vertices)
-    avg = average_invariant(np.ones(mesh.n_vertices), mesh)
-    assert np.allclose(avg, 1.0)
+    n, nv, chambers = mesh.n_vertices, mesh.meta["chamber_vertices"], mesh.meta["chambers"]
+    field = np.zeros(n)
+    field[:nv] = 1.0
+    avg = average_invariant(field, mesh)
+    # orbits as the smallest vertex each one reaches under repeated generators
+    root, previous = np.arange(n), None
+    while not np.array_equal(root, previous):
+        previous = root
+        for perm in mesh.actions.values():
+            root = np.minimum(root, root[perm])
+    fraction = np.bincount(root, weights=field, minlength=n)[root] / np.bincount(root, minlength=n)[root]
+    assert np.allclose(avg, fraction, rtol=1e-14, atol=0)
+    others = np.unique(mesh.triangles[len(mesh.triangles) // chambers:])
+    interior = np.setdiff1d(np.arange(nv), others)
+    assert len(interior) > nv // 2 and np.bincount(root)[root[interior]].min() == chambers
+    assert np.allclose(avg[interior], 1.0 / chambers, rtol=1e-14, atol=0)
+    assert np.allclose(average_invariant(np.ones(n), mesh), 1.0)
 
 
 def test_parity_split_sphere():

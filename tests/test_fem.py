@@ -460,10 +460,21 @@ def _steklov_cases():
         unit_disk(2),
         conformal_annulus(1.1997 / np.pi, 1),
         build_mesh(parse_descriptor("N_tau(1*,1+rho1)"), 600),
+        build_mesh(parse_descriptor("N_tau(*222,1)"), 800),
+        build_mesh(parse_descriptor("N_tau(D3,1)"), 800),
     ):
         rho = average_invariant(1.0 + 0.3 * mesh.positions[:, 0] ** 2, mesh)
         cases += [(mesh, None, ()), (mesh.with_density(rho), None, ())]
     return cases + [(_free_and_mirror_chamber(), ["free"], ["mirror:rho1"])]
+
+
+# sector block sizes of the _steklov_cases meshes, in case order: the disk's
+# mirror, the annulus's two commuting reflections, one mirror, three commuting
+# mirrors, and the D3 mirror pair of which only the first is kept (the second
+# does not commute with it); the chamber has no actions
+STEKLOV_BLOCK_SIZES = (
+    [49, 47], [25, 25, 23, 23], [45, 43], [14] * 8, [39, 39], [42],
+)
 
 
 def _full_eigh_oracle(dtn, Bb):
@@ -499,7 +510,57 @@ def test_steklov_subset_solve_matches_a_full_eigh():
                 assert np.allclose(np.linalg.svd(overlap, compute_uv=False), 1.0, atol=1e-8)
                 checked += 1
             i = j
-    assert checked >= 40
+    assert checked >= 60
+
+
+def test_steklov_blocks_are_the_sign_sectors_of_the_symmetries():
+    cases = _steklov_cases()
+    meshes = cases[::2]
+    assert len(meshes) == len(STEKLOV_BLOCK_SIZES)
+    for (mesh, steklov_panels, dirichlet_panels), sizes in zip(meshes, STEKLOV_BLOCK_SIZES):
+        steklov_spectrum(mesh, 6, steklov_panels, dirichlet_panels)
+        dtn = mesh.geometry.cached(_dtn_key(steklov_panels, dirichlet_panels), pytest.fail)
+        assert [len(block.dtn) for block in dtn.blocks] == sizes
+        assert sum(sizes) == len(dtn.steklov) and len(dtn.blocks) == 2 ** len(dtn.symmetries)
+
+
+def _oracle_mismatch(spec, dtn, Bb, count):
+    """Largest eigenvalue deviation from the full dense oracle, relative to the
+    largest of the count values compared."""
+    vals, _ = _full_eigh_oracle(dtn.dtn, Bb)
+    return np.max(np.abs(spec.eigenvalues - vals[:count])) / np.max(np.abs(vals[:count]))
+
+
+def test_steklov_blocks_drop_an_involution_that_is_no_symmetry():
+    import copy
+
+    mesh = unit_disk(2)
+    boundary = np.flatnonzero(assemble_boundary_mass(mesh) > 0)
+    swap = np.arange(mesh.n_vertices)
+    a, b = boundary[0], boundary[len(boundary) // 3]
+    swap[[a, b]] = b, a
+    # an involution of the Steklov dofs, considered first (sorted names) and
+    # so commuting with every kept one, but moving the Dirichlet-to-Neumann matrix
+    mesh.actions["a_swap"] = swap
+    spec = steklov_spectrum(mesh, 8)
+    dtn = mesh.geometry.cached(_dtn_key(), pytest.fail)
+    sy = mesh.actions["sy"][dtn.steklov]
+    assert len(dtn.symmetries) == 1 and np.array_equal(dtn.steklov[dtn.symmetries[0]], sy)
+    assert [len(block.dtn) for block in dtn.blocks] == [49, 47]
+    Bb = assemble_boundary_mass(mesh)[dtn.steklov]
+    assert _oracle_mismatch(spec, dtn, Bb, 8) <= 1e-12
+    # a density the kept symmetry does not leave invariant (the constructor
+    # does not check it) is solved as one block
+    skewed = copy.copy(mesh)
+    skewed.density = 1.0 + 0.5 * (mesh.positions[:, 1] + 1.0) ** 2
+    Bb = assemble_boundary_mass(skewed)[dtn.steklov]
+    assert not np.allclose(Bb[dtn.symmetries[0]], Bb)
+    spec = steklov_spectrum(skewed, 8)
+    assert _oracle_mismatch(spec, dtn, Bb, 8) <= 1e-12
+    traces = spec.vectors[dtn.steklov]
+    assert np.allclose(traces.T @ (Bb[:, None] * traces), np.eye(8), atol=1e-10)
+    residual = dtn.dtn @ traces - Bb[:, None] * traces * spec.eigenvalues
+    assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(dtn.dtn))
 
 
 def test_steklov_count_is_clamped_to_the_boundary_dofs():
@@ -522,14 +583,14 @@ def test_steklov_count_is_clamped_to_the_boundary_dofs():
 
 
 def test_steklov_vectors_are_the_harmonic_extension_of_the_traces():
-    from eigenmax.fem import boundary_eigenpairs
+    from eigenmax.fem import boundary_eigenpairs, boundary_eigenvalues
 
     for mesh, steklov_panels, dirichlet_panels in _steklov_cases():
         spec = steklov_spectrum(mesh, 6, steklov_panels, dirichlet_panels)
         dtn = mesh.geometry.cached(_dtn_key(steklov_panels, dirichlet_panels), pytest.fail)
         Bb = assemble_boundary_mass(mesh, steklov_panels)[dtn.steklov]
-        vals, traces = boundary_eigenpairs(dtn.dtn, Bb, 6)
-        assert np.array_equal(spec.eigenvalues, vals)
+        assert np.array_equal(spec.eigenvalues, boundary_eigenvalues(dtn.blocks, Bb, 6))
+        traces = boundary_eigenpairs(dtn.blocks, Bb, 6)[1]
         expected = np.zeros((mesh.n_vertices, 6))
         expected[dtn.steklov] = traces
         expected[dtn.interior] = dtn.harmonic @ traces
@@ -545,8 +606,25 @@ class _NoExtension:
         raise AssertionError("interior extension computed")
 
 
-def test_eigenvalue_readers_do_not_extend_into_the_interior():
+def test_eigenvalue_readers_do_not_extend_into_the_interior(monkeypatch):
     import dataclasses
+
+    from eigenmax import fem
+
+    # nor compute the traces: the blocked vector solve runs on the first read
+    # of vectors only
+    def no_traces(blocks, Bb, count):
+        raise AssertionError("boundary traces computed")
+
+    monkeypatch.setattr(fem, "boundary_eigenpairs", no_traces)
+    for mesh in (unit_disk(2), conformal_annulus(1.1997 / np.pi, 1)):
+        spec = steklov_spectrum(mesh, 8)
+        assert normalized_first(mesh, "steklov", spec) == normalized_first(mesh, "steklov")
+        assert spec.clusters()[0][0] == spec.n_zero == 1
+        assert spec.to_json()["first_nonzero"] == spec.first_nonzero() > 0
+        with pytest.raises(AssertionError, match="boundary traces"):
+            spec.vectors
+    monkeypatch.undo()
 
     mesh = unit_disk(2)
     key = _dtn_key()

@@ -209,23 +209,38 @@ def test_warm_started_trials_match_fresh_solves(monkeypatch, capsys):
     import eigenmax.fem as fem
 
     genus_two = closed_surface(make_group("onestar"), TypeB.make(f=1, e={0: 1}))
-    mesh = build_mesh(genus_two, target_vertices=400)
-    assert mesh.n_vertices > 600  # above the dense cutoff
+    # a surface on whose trials an eigenvalue from above the warm start's
+    # block crosses below the cluster: trial blocks of the cluster plus one
+    # guard vector miss it and accept a false move (34.96 fell to 25.19 in 30
+    # iterations at resolution 2000); 1368 vertices, the coarsest mesh this
+    # descriptor builds.  Its warm trials may still miss an eigenvalue above
+    # the cluster or fall back to a fresh solve, so only genus two is held to
+    # the whole trial spectrum.
+    crossing = closed_surface(make_group("dihedral", (3,)), TypeB.make(v={(0, 1): 2}))
     solve = fem.laplace_spectrum
-    warm_calls = []
+    for descriptor, iterations, whole in ((genus_two, 3, True), (crossing, 2, False)):
+        mesh = build_mesh(descriptor, target_vertices=400)
+        assert mesh.n_vertices > 600  # above the dense cutoff
+        warm_calls = []
 
-    def checked(trial, count=8, seed=0, start=None, **kwargs):
-        spec = solve(trial, count, seed=seed, start=start, **kwargs)
-        if start is not None:
-            assert start.factor is not None and spec.factor is None
-            fresh = solve(trial, count, seed=seed)
-            assert np.allclose(spec.eigenvalues[1:], fresh.eigenvalues[1:], rtol=1e-10, atol=0)
-            warm_calls.append(count)
-        return spec
+        def checked(trial, count=8, seed=0, start=None, **kwargs):
+            spec = solve(trial, count, seed=seed, start=start, **kwargs)
+            if start is not None:
+                assert start.factor is not None
+                if whole:  # where a warm solve fails, the fresh one keeps its factor
+                    assert spec.factor is None
+                    fresh = solve(trial, count, seed=seed)
+                    assert np.allclose(spec.eigenvalues[1:], fresh.eigenvalues[1:], rtol=1e-10, atol=0)
+                # the first nonzero eigenvalue of every trial is the one a
+                # fresh solve of the ascent's full count finds
+                full = solve(trial, 8, seed=seed)
+                assert spec.first_nonzero() == pytest.approx(full.first_nonzero(), rel=1e-10)
+                warm_calls.append(count)
+            return spec
 
-    monkeypatch.setattr(fem, "laplace_spectrum", checked)
-    state, _, spec = maximize(mesh, "laplace", max_iters=3)
-    assert state.iterations == 3 and warm_calls
-    # no factorization leaves the ascent, and nothing is printed by default
-    assert spec.factor is None
-    assert capsys.readouterr() == ("", "")
+        monkeypatch.setattr(fem, "laplace_spectrum", checked)
+        state, _, spec = maximize(mesh, "laplace", max_iters=iterations)
+        assert state.iterations == iterations and warm_calls
+        # no factorization leaves the ascent, and nothing is printed by default
+        assert spec.factor is None
+        assert capsys.readouterr() == ("", "")
