@@ -57,15 +57,17 @@ def distmesh2d(fd, fh, h0, bbox, pfix=(), seed=0, max_iters=220):
             pold = p.copy()
             tri = _triangulate(p, fd, geps)
             bars = triangle_edges(tri)
+            ends = np.concatenate([bars[:, 0], bars[:, 1]])
         barvec = p[bars[:, 0]] - p[bars[:, 1]]
         blen = np.hypot(barvec[:, 0], barvec[:, 1])
         hbars = fh(0.5 * (p[bars[:, 0]] + p[bars[:, 1]]))
         l0 = hbars * fscale * np.sqrt(np.sum(blen**2) / np.sum(hbars**2))
         force = np.maximum(l0 - blen, 0.0)
         fvec = (force / np.maximum(blen, 1e-12))[:, None] * barvec
-        ftot = np.zeros_like(p)
-        np.add.at(ftot, bars[:, 0], fvec)
-        np.add.at(ftot, bars[:, 1], -fvec)
+        # each bar pushes its first end by fvec and its second by -fvec;
+        # bincount sums them in the order np.add.at would
+        fends = np.concatenate([fvec, -fvec])
+        ftot = np.column_stack([np.bincount(ends, weights=fends[:, k], minlength=len(p)) for k in (0, 1)])
         ftot[:nfix] = 0.0
         p = p + deltat * ftot
         d = fd(p)

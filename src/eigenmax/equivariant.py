@@ -1,7 +1,8 @@
 """Exploiting the group action: invariant averaging and parity sectors.
 
 A joint parity sector of commuting involutions is solved on the whole mesh,
-in the orbit coordinates of ``sector_basis``, by ``sector_spectrum``.
+in the orbit coordinates of ``sector_basis``, by ``sector_spectrum``; a
+Steklov sector is one block of the mesh's Dirichlet-to-Neumann matrix.
 ``orbits`` and ``sector_basis`` (and ``NonCommuting``, which it raises) live
 in meshcore, where fem's Steklov sector blocks use them too."""
 
@@ -12,7 +13,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import assemble_boundary_mass, assemble_mass, assemble_stiffness, restricted_spectrum
+from .fem import assemble_mass, assemble_stiffness, restricted_spectrum, steklov_spectrum
 from .meshcore import EquivariantError, NonCommuting, orbits, sector_basis  # noqa: F401
 
 
@@ -48,17 +49,21 @@ def sector_spectrum(mesh, labels, kind="laplace", count=6, seed=0):
     """Spectrum of the problem restricted to the joint parity sector of labels.
 
     labels: dict involution name -> +1 | -1; the involutions must commute.
-    The sector is solved in the coordinates of ``sector_basis`` and its
-    vectors are lifted to the mesh.
+    A Laplace sector is solved in the coordinates of ``sector_basis`` and its
+    vectors are lifted to the mesh.  A Steklov sector is the sector's block of
+    the mesh's cached Dirichlet-to-Neumann matrix, which each involution must
+    leave unchanged (``steklov_spectrum`` with ``sector``).
     """
     names = sorted(labels)
     perms = [_involution_perm(mesh, k) for k in names]
-    R = sector_basis(mesh.n_vertices, perms, [1.0 if labels[k] > 0 else -1.0 for k in names])
-    K = assemble_stiffness(mesh)
-    M = assemble_mass(mesh) if kind == "laplace" else assemble_boundary_mass(mesh)
-    Kr = (R.T @ K @ R).tocsr()
+    signs = [1.0 if labels[k] > 0 else -1.0 for k in names]
+    if kind == "steklov":
+        return steklov_spectrum(mesh, count, sector=(perms, signs))
+    R = sector_basis(mesh.n_vertices, perms, signs)
+    M = assemble_mass(mesh)
+    Kr = (R.T @ assemble_stiffness(mesh) @ R).tocsr()
     Mr = np.asarray((R.T @ sp.diags(M) @ R).diagonal())
-    return restricted_spectrum(kind, Kr, Mr, count, R.dot, M, seed)
+    return restricted_spectrum(Kr, Mr, count, R.dot, M, seed)
 
 
 def parity_split_spectrum(mesh, name, count=6, kind="laplace", seed=0):

@@ -14,7 +14,7 @@ import ctypes
 import itertools
 import logging
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -22,7 +22,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .meshcore import _frozen, sector_basis
+from .meshcore import EquivariantError, _frozen, sector_basis
 
 DEFAULT_CLUSTER_TOL = 1e-3
 # LOBPCG of a warm-started solve stops at residuals |K u - lambda M u| below
@@ -249,9 +249,11 @@ def solve_generalized(K, M, count, tol=1e-9, seed=0, dense_cutoff=600, start=Non
     as factor.  start = (X, factor) of a nearby pencil, where X has at least
     count columns, instead runs LOBPCG from the first count columns of X,
     preconditioned by that factor, and returns no factor; if LOBPCG fails or
-    its residual is too large, the shift-invert solve is made after all.
-    Deterministic: the Lanczos starting vector is drawn from a seeded
-    generator.  count is clamped to the dimension.
+    its residual is too large, the shift-invert solve is made after all and
+    its factor returned.  A warm solve is checked by residual only: its
+    eigenvalues above the lowest nonzero cluster can skip an eigenvalue of
+    the pencil.  Deterministic: the Lanczos starting vector is drawn from a
+    seeded generator.  count is clamped to the dimension.
     """
     n = K.shape[0]
     M = np.asarray(M)
@@ -344,9 +346,12 @@ def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start
 
     start, a spectrum of the same mesh at a nearby density that carries its
     factorization, warm-starts the solve from its vectors (no Dirichlet
-    panels); the result then carries no factorization.  With Dirichlet panels
-    the pencil is restricted to the free vertices, and the spectrum carries
-    no factorization.
+    panels).  The result carries no factorization unless the warm solve fails
+    and falls back to a fresh shift-invert solve, whose factorization it then
+    carries.  Warm-started eigenvalues are checked by residual only: those
+    above the first cluster can miss an eigenvalue of the pencil.  With
+    Dirichlet panels the pencil is restricted to the free vertices, and the
+    spectrum carries no factorization.
     """
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
@@ -354,7 +359,7 @@ def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start
     if not np.all(on_free):
         free = np.flatnonzero(on_free)
         lift = partial(_embed, index=free, n=mesh.n_vertices)
-        return restricted_spectrum("laplace", K[free][:, free].tocsr(), M[free], count, lift, M, seed, tol)
+        return restricted_spectrum(K[free][:, free].tocsr(), M[free], count, lift, M, seed, tol)
     warm = None
     if start is not None and start.factor is not None:
         warm = (start.vectors, start.factor)
@@ -362,20 +367,15 @@ def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start
     return Spectrum(vals, vecs, M, "laplace", n_zero=_zero_count(vals, vals[-1]), factor=factor)
 
 
-def restricted_spectrum(kind, K, M, count, lift, mesh_mass, seed=0, tol=1e-9):
-    """Spectrum of a problem restricted to reduced coordinates.
+def restricted_spectrum(K, M, count, lift, mesh_mass, seed=0, tol=1e-9):
+    """Laplace spectrum of a pencil restricted to reduced coordinates.
 
-    K is the sparse stiffness and M the diagonal mass (Laplace) or boundary
-    mass (Steklov) in those coordinates; lift maps a block of coordinate
-    vectors to mesh vectors, and mesh_mass is the mesh mass reported with
-    them.  A Steklov problem is solved as one identity block, eigenvalues
-    first; its traces are computed, extended and lifted on the first read of
-    Spectrum.vectors.
+    K is the sparse stiffness and M the diagonal mass in those coordinates;
+    lift maps a block of coordinate vectors to mesh vectors, and mesh_mass is
+    the mesh mass reported with them.
     """
-    if kind == "laplace":
-        vals, vecs, _ = solve_generalized(K, M, count, tol=tol, seed=seed)
-        return Spectrum(vals, lift(vecs), mesh_mass, kind, n_zero=_zero_count(vals, vals[-1]))
-    return _dtn_spectrum(_dirichlet_to_neumann(K, M > 0), M, count, mesh_mass, lift)
+    vals, vecs, _ = solve_generalized(K, M, count, tol=tol, seed=seed)
+    return Spectrum(vals, lift(vecs), mesh_mass, "laplace", n_zero=_zero_count(vals, vals[-1]))
 
 
 def _free_vertices(mesh, dirichlet_panels):
@@ -412,93 +412,79 @@ class _SectorBlock:
 
 @dataclass(frozen=True)
 class _DirichletToNeumann:
-    """Density-independent Schur complement of a stiffness onto its Steklov dofs."""
+    """Density-independent Schur complement of a mesh's stiffness onto its Steklov dofs."""
 
-    steklov: np.ndarray  # Steklov dofs (positive boundary mass)
-    interior: np.ndarray  # the remaining dofs
+    steklov: np.ndarray  # Steklov dofs: the vertices of positive boundary mass off the Dirichlet panels
+    interior: np.ndarray  # the other vertices off the Dirichlet panels
     dtn: np.ndarray  # (s, s) symmetric Dirichlet-to-Neumann matrix
     harmonic: np.ndarray  # (i, s) interior values of the harmonic extensions
     symmetries: tuple  # commuting involutions of the Steklov dofs that leave dtn unchanged
     blocks: tuple  # a _SectorBlock per nonempty joint sign sector of the symmetries
 
 
-def _dirichlet_to_neumann(K, on_steklov):
-    """Schur complement of the sparse stiffness K onto the dofs marked by the
-    boolean mask on_steklov, and the harmonic extensions of its unit traces.
-
-    K restricted to the remaining (interior) dofs must be positive definite.
-    The record has one identity block.
-    """
-    b = np.flatnonzero(on_steklov)
-    i = np.flatnonzero(~on_steklov)
+def _dirichlet_to_neumann(mesh, on_steklov, dirichlet_panels):
+    """Schur complement of the stiffness onto the vertices marked by the
+    boolean mask on_steklov and off the Dirichlet panels, the harmonic
+    extensions of its unit traces, and its sector blocks."""
+    free = _free_vertices(mesh, dirichlet_panels)
+    b = np.flatnonzero(free & on_steklov)
+    i = np.flatnonzero(free & ~on_steklov)
     if len(b) == 0:
         raise AllDirichlet("no Steklov vertices remain")
-    Kbb = K[b][:, b].toarray()
-    Kbi = K[b][:, i]
+    K = assemble_stiffness(mesh)
     Ui = _harmonic_solve(K, i, b, np.eye(len(b)))
-    dtn = Kbb + Kbi @ Ui
+    dtn = K[b][:, b].toarray() + K[b][:, i] @ Ui
     dtn = _frozen(0.5 * (dtn + dtn.T))
-    return _DirichletToNeumann(_frozen(b), _frozen(i), dtn, _frozen(Ui), (), _sector_blocks(dtn, ()))
-
-
-def _mesh_dirichlet_to_neumann(mesh, on_boundary, dirichlet_panels):
-    """The Schur complement of K on the vertices off the Dirichlet panels,
-    its Steklov and interior dofs given as mesh vertices, split into the
-    sign sectors of the mesh's involutions that are symmetries of it."""
-    free = np.flatnonzero(_free_vertices(mesh, dirichlet_panels))
-    K = assemble_stiffness(mesh)[free][:, free].tocsr()
-    dtn = _dirichlet_to_neumann(K, on_boundary[free])
-    steklov = free[dtn.steklov]
-    symmetries = _dtn_symmetries(dtn.dtn, steklov, mesh.actions)
-    return replace(
-        dtn,
-        steklov=_frozen(steklov),
-        interior=_frozen(free[dtn.interior]),
-        symmetries=symmetries,
-        blocks=_sector_blocks(dtn.dtn, symmetries),
-    )
-
-
-def _dtn_symmetries(dtn, steklov, actions):
-    """The stored actions, in sorted name order, as permutations of the
-    Steklov dofs: each one kept that is an involution of them, commutes with
-    those kept before it and leaves dtn unchanged to 1e-10 of max|dtn| (an
-    action that is no isometry does not)."""
-    tol = 1e-10 * np.max(np.abs(dtn))
+    # the symmetries: the stored actions, in sorted name order, that are
+    # _dtn_involutions and commute with those kept before them
     kept = []
-    for name in sorted(actions):
-        image = np.asarray(actions[name])[steklov]
-        local = np.minimum(np.searchsorted(steklov, image), len(steklov) - 1)
-        if not np.array_equal(steklov[local], image):
-            continue  # moves a Steklov dof off the Steklov dofs
-        if not np.array_equal(local[local], np.arange(len(local))):
+    for name in sorted(mesh.actions):
+        try:
+            local = _dtn_involution(dtn, b, mesh.actions[name])
+        except EquivariantError:
             continue
-        if not all(np.array_equal(local[p], p[local]) for p in kept):
-            continue
-        if np.max(np.abs(dtn[np.ix_(local, local)] - dtn)) > tol:
-            continue
-        kept.append(_frozen(local))
-    return tuple(kept)
+        if all(np.array_equal(local[p], p[local]) for p in kept):
+            kept.append(_frozen(local))
+    blocks = _sector_blocks(dtn, kept)
+    return _DirichletToNeumann(_frozen(b), _frozen(i), dtn, _frozen(Ui), tuple(kept), blocks)
+
+
+def _dtn_involution(dtn, steklov, perm):
+    """The vertex permutation perm as a permutation of the Steklov dofs;
+    EquivariantError unless it is an involution of them that leaves dtn
+    unchanged to 1e-10 of max|dtn| (an action that is no isometry does not)."""
+    image = np.asarray(perm)[steklov]
+    local = np.minimum(np.searchsorted(steklov, image), len(steklov) - 1)
+    if not np.array_equal(steklov[local], image):
+        raise EquivariantError("the action moves a Steklov dof off the Steklov dofs")
+    if not np.array_equal(local[local], np.arange(len(local))):
+        raise EquivariantError("the action is not an involution of the Steklov dofs")
+    if np.max(np.abs(dtn[np.ix_(local, local)] - dtn)) > 1e-10 * np.max(np.abs(dtn)):
+        raise EquivariantError("the action changes the Dirichlet-to-Neumann matrix")
+    return local
 
 
 def _sector_blocks(dtn, perms):
     """A _SectorBlock for every nonempty joint sign sector of the commuting
     involutions perms of the dofs of dtn; without involutions, the identity."""
-    s = len(dtn)
-    blocks = []
-    for signs in itertools.product((1.0, -1.0), repeat=len(perms)):
-        R = sector_basis(s, list(perms), signs).tocoo()
-        if R.shape[1] == 0:
-            continue
-        block = R.T @ (R.T @ dtn).T
-        blocks.append(_SectorBlock(
-            _frozen(0.5 * (block + block.T)), _frozen(R.row), _frozen(R.col), _frozen(R.data),
-            _frozen(R.data**2),
-        ))
-    return tuple(blocks)
+    signs = itertools.product((1.0, -1.0), repeat=len(perms))
+    return tuple(block for block in (_sector_block(dtn, perms, s) for s in signs) if block is not None)
 
 
-def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=()):
+def _sector_block(dtn, perms, signs):
+    """The _SectorBlock of the joint sign sector signs of the commuting
+    involutions perms of the dofs of dtn, or None if the sector is empty."""
+    R = sector_basis(len(dtn), list(perms), signs).tocoo()
+    if R.shape[1] == 0:
+        return None
+    block = R.T @ (R.T @ dtn).T
+    return _SectorBlock(
+        _frozen(0.5 * (block + block.T)), _frozen(R.row), _frozen(R.col), _frozen(R.data),
+        _frozen(R.data**2),
+    )
+
+
+def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=(), sector=None):
     """Steklov / mixed-Steklov eigenvalues via the boundary Schur complement.
 
     The pencil is K u = sigma B u with B supported on the Steklov panels;
@@ -506,33 +492,33 @@ def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=()):
     traces.  The Schur complement does not depend on the density and is
     computed, and split into the sign sectors of the mesh's involutions that
     are its symmetries, once per mesh geometry and boundary-condition choice;
-    a solve is the lowest eigenvalues of those dense blocks.  The traces are
-    computed and extended into the interior on the first read of
+    a solve is the lowest eigenvalues of those dense blocks.  sector, a pair
+    (perms, signs) of commuting vertex involutions and their signs, solves
+    that joint sign sector only: its block of the same Schur complement, which
+    each involution must leave unchanged (EquivariantError otherwise).  The
+    traces are computed and extended into the interior on the first read of
     Spectrum.vectors.
     """
     if not mesh.has_boundary():
         raise NoBoundary("Steklov problem needs a boundary")
     B = assemble_boundary_mass(mesh, steklov_panels)
     key = ("dtn", _panel_key(steklov_panels), frozenset(dirichlet_panels))
-    dtn = mesh.geometry.cached(
-        key, lambda: _mesh_dirichlet_to_neumann(mesh, B > 0, dirichlet_panels)
-    )
-    return _dtn_spectrum(dtn, B, count, _embed(B[dtn.steklov], dtn.steklov, mesh.n_vertices))
-
-
-def _dtn_spectrum(dtn, B, count, mass, lift=None):
-    """Lowest count Steklov eigenvalues of a Schur complement; B is the
-    boundary mass on its coordinates.  Traces are computed, extended and
-    lifted to the mesh by lift on the first read of Spectrum.vectors."""
+    dtn = mesh.geometry.cached(key, lambda: _dirichlet_to_neumann(mesh, B > 0, dirichlet_panels))
     Bb = B[dtn.steklov]
-    blocks = dtn.blocks
-    if not all(np.all(np.abs(Bb[p] - Bb) <= 1e-12 * Bb) for p in dtn.symmetries):
+    if sector is not None:
+        perms = [_dtn_involution(dtn.dtn, dtn.steklov, perm) for perm in sector[0]]
+        blocks = (_sector_block(dtn.dtn, perms, sector[1]),)
+        if blocks[0] is None:
+            raise AllDirichlet("the sector has no Steklov dofs")
+    elif all(np.all(np.abs(Bb[p] - Bb) <= 1e-12 * Bb) for p in dtn.symmetries):
+        blocks = dtn.blocks
+    else:
         blocks = _sector_blocks(dtn.dtn, ())  # a density the symmetries do not keep
-    count = int(min(count, len(dtn.steklov)))
+    count = int(min(count, len(Bb)))
     vals = boundary_eigenvalues(blocks, Bb, count)
     n_zero = _zero_count(vals, vals[-1] if len(vals) else 1.0)
-    extend = partial(_harmonic_vectors, dtn, blocks, Bb, count, len(B), lift)
-    return Spectrum(vals, extend, mass, "steklov", n_zero=n_zero)
+    extend = partial(_harmonic_vectors, dtn, blocks, Bb, count, mesh.n_vertices)
+    return Spectrum(vals, extend, _embed(Bb, dtn.steklov, mesh.n_vertices), "steklov", n_zero=n_zero)
 
 
 def boundary_eigenvalues(blocks, Bb, count):
@@ -582,15 +568,15 @@ def _block_solve(block, Bb, count, vectors):
     return vals, scale[:, None] * modes
 
 
-def _harmonic_vectors(dtn, blocks, Bb, count, n, lift):
-    """Vectors on n coordinates: the Bb-orthonormal traces of the lowest count
-    pairs on the Steklov dofs, their harmonic extensions on the interior ones
-    and zero elsewhere; mapped by lift if given."""
+def _harmonic_vectors(dtn, blocks, Bb, count, n):
+    """Vectors on the n mesh vertices: the Bb-orthonormal traces of the
+    lowest count pairs on the Steklov dofs, their harmonic extensions on the
+    interior ones and zero on the Dirichlet panels."""
     traces = boundary_eigenpairs(blocks, Bb, count)[1]
     vecs = np.zeros((n, traces.shape[1]))
     vecs[dtn.steklov] = traces
     vecs[dtn.interior] = dtn.harmonic @ traces
-    return vecs if lift is None else lift(vecs)
+    return vecs
 
 
 def _embed(values, index, n):

@@ -303,9 +303,6 @@ class SymmetricMesh:
     def n_triangles(self):
         return len(self.triangles)
 
-    def boundary_edges(self):
-        return [self.geometry.pair(c) for c in self.geometry.boundary_codes]
-
     def boundary_vertices(self):
         codes = self.geometry.boundary_codes
         base = self.geometry.base

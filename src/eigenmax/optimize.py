@@ -309,6 +309,8 @@ def maximize(
                 tspec = _solve(trial, kind, max(4, j - i + 2), seed, start=spec)
                 trials += 1
                 tvalue = fem.normalized_first(trial, kind, tspec)
+                # a warm solve that fell back to a fresh one carries its factorization
+                fem.release_factor(tspec)
                 gain = tvalue - value
                 # accept real progress; tolerate a sub-roundoff drop only for
                 # the full step (guards against cluster reordering)

@@ -9,6 +9,7 @@ from eigenmax.builtins import conformal_annulus, flat_torus, round_sphere, unit_
 from eigenmax.chambers import build_mesh
 from eigenmax.cli import parse_descriptor
 from eigenmax.equivariant import (
+    EquivariantError,
     NonCommuting,
     NotInvolution,
     average_invariant,
@@ -261,53 +262,88 @@ class _NoExtension:
         raise AssertionError("interior extension computed")
 
 
+def _steklov_sector_cases():
+    """Freshly built meshes, each with the involutions whose Steklov parity
+    splits are checked."""
+    return [
+        (unit_disk(2), ["sy"]),
+        (conformal_annulus(1.1997 / np.pi, 1), ["tau", "stheta"]),
+        (build_mesh(parse_descriptor("N_tau(1*,1+rho1)"), 500), ["rho1"]),
+        # rho2 does not commute with rho1, so it is no kept symmetry of the
+        # cached Dirichlet-to-Neumann record
+        (build_mesh(parse_descriptor("N_tau(D3,1)"), 800), ["rho2"]),
+    ]
+
+
 def test_parity_split_steklov_sectors_reproduce_the_spectrum(monkeypatch):
     from eigenmax import fem
 
-    cases = [
-        (unit_disk(2), "sy"),
-        (conformal_annulus(1.1997 / np.pi, 1), "tau"),
-        (conformal_annulus(1.1997 / np.pi, 1), "stheta"),
-        (build_mesh(parse_descriptor("N_tau(1*,1+rho1)"), 500), "rho1"),
-    ]
     checked = 0
-    for mesh, name in cases:
-        even, odd = parity_split_spectrum(mesh, name, count=5, kind="steklov")
+    for mesh, names in _steklov_sector_cases():
         full = steklov_spectrum(mesh, count=10)
-        merged = np.sort(np.concatenate([even.eigenvalues, odd.eigenvalues]))
-        assert np.allclose(merged[:7], full.eigenvalues[:7], rtol=1e-9, atol=1e-12)
-        assert even.n_zero == 1 and odd.n_zero == 0
-        perm = mesh.actions[name]
         B = assemble_boundary_mass(mesh)
-        for sector, sign in ((even, 1.0), (odd, -1.0)):
-            U = sector.vectors
-            assert np.allclose(U[perm], sign * U, atol=1e-12)
-            assert np.allclose(U.T @ (sector.mass[:, None] * U), np.eye(5), atol=1e-10)
-            vals, V = _dense_sector_oracle(mesh, sector_basis(mesh.n_vertices, [perm], [sign]), 5)
-            top = np.max(np.abs(vals[:5]))
-            assert np.all(np.abs(sector.eigenvalues - vals[:5]) <= 1e-12 * top)
-            # every cluster that count does not cut spans the oracle's eigenspace
-            for i, j in sector.clusters():
-                if vals[j] - vals[j - 1] > 1e-3 * top:
-                    overlap = V[:, i:j].T @ (B[:, None] * U[:, i:j])
-                    assert np.allclose(np.linalg.svd(overlap, compute_uv=False), 1.0, atol=1e-12)
-                    assert np.allclose(V[:, i:j] @ overlap, U[:, i:j], rtol=0, atol=1e-12 * np.abs(U).max())
-                    checked += 1
-    assert checked >= 12
-    # eigenvalue readers of a sector spectrum do not extend into the interior
-    build = fem._dirichlet_to_neumann
+        dtn = mesh.geometry.cached(("dtn", None, frozenset()), pytest.fail)
+        for name in names:
+            perm = mesh.actions[name]
+            kept = any(np.array_equal(dtn.steklov[p], perm[dtn.steklov]) for p in dtn.symmetries)
+            assert kept == (name != "rho2")
+            even, odd = parity_split_spectrum(mesh, name, count=5, kind="steklov")
+            merged = np.sort(np.concatenate([even.eigenvalues, odd.eigenvalues]))
+            assert np.allclose(merged[:7], full.eigenvalues[:7], rtol=1e-9, atol=1e-12)
+            assert even.n_zero == 1 and odd.n_zero == 0
+            for sector, sign in ((even, 1.0), (odd, -1.0)):
+                U = sector.vectors
+                assert np.allclose(U[perm], sign * U, atol=1e-12)
+                assert np.allclose(U.T @ (sector.mass[:, None] * U), np.eye(5), atol=1e-10)
+                vals, V = _dense_sector_oracle(mesh, sector_basis(mesh.n_vertices, [perm], [sign]), 5)
+                top = np.max(np.abs(vals[:5]))
+                assert np.all(np.abs(sector.eigenvalues - vals[:5]) <= 1e-12 * top)
+                # every cluster that count does not cut spans the oracle's eigenspace
+                for i, j in sector.clusters():
+                    if vals[j] - vals[j - 1] > 1e-3 * top:
+                        overlap = V[:, i:j].T @ (B[:, None] * U[:, i:j])
+                        assert np.allclose(np.linalg.svd(overlap, compute_uv=False), 1.0, atol=1e-12)
+                        assert np.allclose(V[:, i:j] @ overlap, U[:, i:j], rtol=0, atol=1e-12 * np.abs(U).max())
+                        checked += 1
+    assert checked >= 40
+    # the full solve and every parity split of a mesh read its one cached
+    # Dirichlet-to-Neumann record: one sparse factorization, made when the
+    # record is built; and eigenvalue readers of a sector spectrum do not
+    # extend into the interior
+    build, factor, factorizations = fem._dirichlet_to_neumann, fem.spd_factor, []
     monkeypatch.setattr(
         fem,
         "_dirichlet_to_neumann",
-        lambda K, on_steklov: dataclasses.replace(build(K, on_steklov), harmonic=_NoExtension()),
+        lambda *args: dataclasses.replace(build(*args), harmonic=_NoExtension()),
     )
-    for mesh, name in cases:
-        for sector in parity_split_spectrum(mesh, name, count=5, kind="steklov"):
-            assert sector.first_nonzero() > 0
-            assert sector.to_json()["first_nonzero"] == sector.first_nonzero()
-            assert sector.clusters()[0][0] == sector.n_zero
-            with pytest.raises(AssertionError, match="interior extension"):
-                sector.vectors
+    monkeypatch.setattr(fem, "spd_factor", lambda A: factorizations.append(A.shape) or factor(A))
+    for mesh, names in _steklov_sector_cases():
+        factorizations.clear()
+        assert steklov_spectrum(mesh, count=10).first_nonzero() > 0
+        for name in names:
+            for sector in parity_split_spectrum(mesh, name, count=5, kind="steklov"):
+                assert sector.first_nonzero() > 0
+                assert sector.to_json()["first_nonzero"] == sector.first_nonzero()
+                assert sector.clusters()[0][0] == sector.n_zero
+                with pytest.raises(AssertionError, match="interior extension"):
+                    sector.vectors
+        assert len(factorizations) == 1
+
+
+def test_steklov_sector_of_an_involution_that_is_no_symmetry():
+    # involutions of the vertices that a Steklov sector rejects: one moves a
+    # boundary vertex into the interior, one swaps two boundary vertices and
+    # so changes the Dirichlet-to-Neumann matrix
+    mesh = unit_disk(2)
+    boundary = np.flatnonzero(assemble_boundary_mass(mesh))
+    inner = np.setdiff1d(np.arange(mesh.n_vertices), boundary)
+    for other, message in ((inner[0], "off the Steklov dofs"), (boundary[5], "changes the Dirichlet")):
+        swap = np.arange(mesh.n_vertices)
+        swap[[boundary[0], other]] = other, boundary[0]
+        mesh.actions["swap"] = swap
+        with pytest.raises(EquivariantError, match=message):
+            sector_spectrum(mesh, {"swap": 1}, "steklov")
+    assert sector_spectrum(mesh, {"sy": -1}, "steklov").n_zero == 0
 
 
 def _sector_basis_loop(n, perms, signs):

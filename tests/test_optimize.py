@@ -221,13 +221,14 @@ def test_warm_started_trials_match_fresh_solves(monkeypatch, capsys):
     for descriptor, iterations, whole in ((genus_two, 3, True), (crossing, 2, False)):
         mesh = build_mesh(descriptor, target_vertices=400)
         assert mesh.n_vertices > 600  # above the dense cutoff
-        warm_calls = []
+        warm_calls, trial_spectra = [], []
 
         def checked(trial, count=8, seed=0, start=None, **kwargs):
             spec = solve(trial, count, seed=seed, start=start, **kwargs)
             if start is not None:
                 assert start.factor is not None
-                if whole:  # where a warm solve fails, the fresh one keeps its factor
+                trial_spectra.append(spec)
+                if whole:  # where a warm solve fails, the fresh one returns its factor
                     assert spec.factor is None
                     fresh = solve(trial, count, seed=seed)
                     assert np.allclose(spec.eigenvalues[1:], fresh.eigenvalues[1:], rtol=1e-10, atol=0)
@@ -241,6 +242,8 @@ def test_warm_started_trials_match_fresh_solves(monkeypatch, capsys):
         monkeypatch.setattr(fem, "laplace_spectrum", checked)
         state, _, spec = maximize(mesh, "laplace", max_iters=iterations)
         assert state.iterations == iterations and warm_calls
-        # no factorization leaves the ascent, and nothing is printed by default
+        # no factorization leaves the ascent, not even that of a trial whose
+        # warm solve fell back to a fresh one, and nothing is printed by default
         assert spec.factor is None
+        assert all(trial.factor is None for trial in trial_spectra)
         assert capsys.readouterr() == ("", "")
