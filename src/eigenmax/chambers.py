@@ -506,7 +506,8 @@ class AssemblyGroup:
     """Finite group generated by tau and/or mirror matrices for gluing.
 
     Elements are (tau bit, matrix) pairs in the breadth-first order of
-    ``groups.closure``.  ``right[name][k]`` is element k times the named
+    ``groups.closure``, where tau is labelled by the two-point swap [1, 0]
+    and a mirror by [0, 1].  ``right[name][k]`` is element k times the named
     generator and ``left[a, b]`` is element a times element b.
     """
 
@@ -514,8 +515,9 @@ class AssemblyGroup:
         # gen_specs: list of (name, tau_bit, matrix)
         self.gen_specs = list(gen_specs)
         gen_names = [name for name, _, _ in self.gen_specs]
-        group = closure([m for _, _, m in self.gen_specs], [t for _, t, _ in self.gen_specs])
-        self.tau_bits = group.bits
+        swaps = np.array([[t, 1 - t] for _, t, _ in self.gen_specs], dtype=int).reshape(-1, 2)
+        group = closure([m for _, _, m in self.gen_specs], swaps)
+        self.tau_bits = group.labels[:, 0]
         self.matrices = group.matrices
         self.names = [".".join(gen_names[i] for i in word) or "e" for word in group.words]
         self.parities = [(-1) ** len(word) for word in group.words]

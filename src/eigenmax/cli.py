@@ -388,7 +388,6 @@ def cmd_verify(args):
         raise UsageError(f"bundle is missing files: {missing}")
     for name, digest in manifest.get("outputs", {}).items():
         check(f"hash:{name}", _sha256(bundle / name) == digest)
-    ok_all = all(c["ok"] for c in checks)
     if (bundle / "mesh.json").exists() and (bundle / "state.json").exists():
         mesh = SymmetricMesh.load(bundle / "mesh.json")
         state = json.loads((bundle / "state.json").read_text())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .meshcore import MeshError, components
+from .meshcore import MeshError, components, ordered_star
 
 
 class EigenmapError(MeshError):
@@ -349,7 +349,7 @@ def interior_critical_vertices(values, mesh):
         if v in boundary:
             continue
         scale = 2 * np.pi / sum(angles[ti, k] for ti, k in star)
-        order = _order_star(tri, star)
+        order = ordered_star(tri, star)
         if order is None:
             continue
         theta = 0.0
@@ -368,22 +368,6 @@ def interior_critical_vertices(values, mesh):
         if _zero_in_cone(np.asarray(grads)):
             out.append(v)
     return out
-
-
-def _order_star(tri, star):
-    """The (triangle, corner) pairs of a star in cyclic order, or None if it is not a disk."""
-    nxt = {tri[ti][(k + 1) % 3]: (ti, k) for ti, k in star}
-    ti, k = star[0]
-    cur = tri[ti][(k + 1) % 3]
-    order = []
-    for _ in range(len(star)):
-        corner = nxt.get(cur)
-        if corner is None:
-            return None
-        order.append(corner)
-        ti, k = corner
-        cur = tri[ti][(k + 2) % 3]
-    return order
 
 
 def _planar_gradient(p0, p1, p2, u0, u1, u2):

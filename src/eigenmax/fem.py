@@ -25,6 +25,8 @@ import scipy.sparse.linalg as spla
 from .meshcore import EquivariantError, _frozen, sector_basis
 
 DEFAULT_CLUSTER_TOL = 1e-3
+# pencils with at most this many unknowns are solved densely
+DENSE_CUTOFF = 600
 # LOBPCG of a warm-started solve stops at residuals |K u - lambda M u| below
 # WARM_RTOL * lambda * |M u| (lambda of the last start vector), ten times
 # inside the acceptance check; not converged after WARM_MAXITER iterations,
@@ -240,10 +242,10 @@ def release_factor(spectrum):
         pass
 
 
-def solve_generalized(K, M, count, tol=1e-9, seed=0, dense_cutoff=600, start=None):
+def solve_generalized(K, M, count, tol=1e-9, seed=0, start=None):
     """Lowest eigenpairs of K u = lambda M u, K sym PSD, M diagonal positive.
 
-    Returns (values, vectors, factor).  Up to dense_cutoff unknowns the pencil
+    Returns (values, vectors, factor).  Up to DENSE_CUTOFF unknowns the pencil
     is solved densely and factor is None.  Above it, shift-invert Lanczos
     runs on the factorization of K - sigma*M (sigma < 0), which is returned
     as factor.  start = (X, factor) of a nearby pencil, where X has at least
@@ -262,7 +264,7 @@ def solve_generalized(K, M, count, tol=1e-9, seed=0, dense_cutoff=600, start=Non
     count = int(min(count, n))
     if count < 1:
         raise FemError("count must be >= 1")
-    if n <= dense_cutoff or count > n - 2:
+    if n <= DENSE_CUTOFF or count > n - 2:
         vals, vecs = scipy.linalg.eigh(K.toarray(), np.diag(M))
         vals, vecs = _accept(K, M, vals[:count], vecs[:, :count], tol, "dense")
         return vals, vecs, None

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
+from .groups import GroupError, closure
 from .meshcore import weighted_area
 
 
@@ -81,33 +82,20 @@ def transform_group(mesh, rep=None, d=3):
     """Closure of the listed actions as (vertex perm, target matrix) pairs.
 
     rep maps action names to orthogonal target matrices (identity if
-    missing).  The returned list contains the identity and is closed under
-    composition, so averaging over it is a projection onto equivariant maps.
+    missing).  The returned list, in the order of ``groups.closure``,
+    contains the identity and is closed under composition, so averaging
+    over it is a projection onto equivariant maps.
     """
-    n = mesh.n_vertices
-    elements = [(np.arange(n), np.eye(d))]
-    keys = {(tuple(elements[0][0]), tuple(np.round(elements[0][1], 9).ravel()))}
-    gens = []
-    for name, perm in mesh.actions.items():
-        mat = np.eye(d) if rep is None or name not in rep else np.asarray(rep[name], dtype=float)
-        gens.append((np.asarray(perm, dtype=int), mat))
-    frontier = list(range(len(elements)))
-    while frontier:
-        new = []
-        for idx in frontier:
-            q1, b1 = elements[idx]
-            for q2, b2 in gens:
-                q = q1[q2]
-                b = b1 @ b2
-                key = (tuple(q), tuple(np.round(b, 9).ravel()))
-                if key not in keys:
-                    keys.add(key)
-                    elements.append((q, b))
-                    new.append(len(elements) - 1)
-                    if len(elements) > 2048:
-                        raise GLError("action table does not generate a small group")
-        frontier = new
-    return elements
+    perms = np.array(list(mesh.actions.values()), dtype=int).reshape(-1, mesh.n_vertices)
+    mats = [
+        np.eye(d) if rep is None or name not in rep else np.asarray(rep[name], dtype=float)
+        for name in mesh.actions
+    ]
+    try:
+        group = closure(mats, perms, dimension=d)
+    except GroupError as exc:
+        raise GLError("action table does not generate a small group") from exc
+    return list(zip(group.labels, group.matrices))
 
 
 def equivariant_average(u, mesh, rep=None, transforms=None):

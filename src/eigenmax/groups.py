@@ -9,6 +9,10 @@ Mirror placement convention: the first generator always fixes the plane
 x = 0; the remaining mirror normals are obtained from the Cholesky factor of
 the Gram matrix G_ij = -cos(pi/m(i,j)), which pins the action down to a
 single reproducible representative of its conjugacy class.
+
+``closure`` is the one enumeration of group elements: the assembly group
+``Z2 x G`` of tau and the mirrors, and the Ginzburg-Landau transform group of
+vertex permutations and target matrices, are both its closures.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 ALLOWED_EXCEPTIONAL = {(2, 3, 3), (2, 3, 4), (2, 3, 5)}
 
 MATRIX_TOL = 1e-10
+MAX_ORDER = 2048
 
 
 class GroupError(ValueError):
@@ -198,50 +203,15 @@ def standard_action(group, dimension):
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """Group element as a shortlex-reduced generator word plus its matrix."""
-
-    word: tuple
-    matrix: np.ndarray
-    parity: int
-
-    def name(self):
-        if not self.word:
-            return "e"
-        return ".".join(f"r{i + 1}" for i in self.word)
-
-    def __str__(self):
-        return self.name()
-
-
-def _lookup(bits, mats, cand_bits, cand_mats):
-    """Index of the first element equal to each candidate, or -1.
-
-    Two elements are equal when their tau bits agree and every matrix entry
-    agrees within MATRIX_TOL, as ``np.allclose(atol=MATRIX_TOL, rtol=0)``.
-    """
-    same = (cand_bits[:, None] == bits[None, :]) & np.all(
-        np.abs(cand_mats[:, None] - mats[None]) <= MATRIX_TOL, axis=(2, 3)
-    )
-    first = np.argmax(same, axis=1)
-    return np.where(same[np.arange(len(first)), first], first, -1)
-
-
-def _find(bits, mats, bit, m):
-    """Index of the first element equal to (bit, m), or -1."""
-    return int(_lookup(bits, mats, np.array([bit]), m[None])[0])
-
-
-@dataclass(frozen=True)
 class Closure:
-    """Elements of the group generated by (tau bit, matrix) pairs.
+    """Elements of the group generated by (label, matrix) pairs.
 
     Elements appear in breadth-first order; each word is the shortlex-minimal
     generator-index word of its element, and ``right[k, i]`` is the index of
     element k times generator i.
     """
 
-    bits: np.ndarray
+    labels: np.ndarray
     matrices: np.ndarray
     words: list
     right: np.ndarray
@@ -266,113 +236,42 @@ class Closure:
         return table
 
 
-def closure(gen_matrices, gen_bits=None, dimension=3):
+def closure(gen_matrices, gen_labels=None, dimension=3):
     """Breadth-first closure of the group generated by the given matrices.
 
-    Products are formed as element @ generator, frontier by frontier and
+    Each generator may carry a label, an integer permutation (the tau swap,
+    or a vertex permutation of a mesh); labels compose as
+    ``labels[element][gen_label]`` alongside ``element @ generator``.  Two
+    elements are equal when their labels are equal and their matrices agree
+    within MATRIX_TOL.  Products are formed frontier by frontier and
     generator by generator; a product that matches no listed element is
-    appended with its word.  gen_bits are optional tau bits (added mod 2).
+    appended with its word.  A group larger than MAX_ORDER raises GroupError.
     """
-    if gen_bits is None:
-        gen_bits = [0] * len(gen_matrices)
-    bits, mats, words, right = np.zeros(1, dtype=int), np.eye(dimension)[None], [()], []
+    if gen_labels is None:
+        gen_labels = np.zeros((len(gen_matrices), 0), dtype=int)
+    gen_labels = np.asarray(gen_labels, dtype=int)
+    labels, mats = np.arange(gen_labels.shape[1])[None], np.eye(dimension)[None]
+    words, right = [()], []
     frontier = [0]
     while frontier:
         new_frontier = []
         for idx in frontier:
             row = []
-            for i, (gb, gm) in enumerate(zip(gen_bits, gen_matrices)):
-                bit, m = (bits[idx] + gb) % 2, mats[idx] @ gm
-                k = _find(bits, mats, bit, m)
-                if k < 0:
+            for i, (gl, gm) in enumerate(zip(gen_labels, gen_matrices)):
+                label, m = labels[idx][gl], mats[idx] @ gm
+                same = np.all(labels == label, axis=1) & np.all(
+                    np.abs(mats - m) <= MATRIX_TOL, axis=(1, 2)
+                )
+                k = int(np.argmax(same))
+                if not same[k]:
+                    if len(words) == MAX_ORDER:
+                        raise GroupError(f"generators do not close within {MAX_ORDER} elements")
                     k = len(words)
-                    bits, mats = np.append(bits, bit), np.concatenate([mats, m[None]])
+                    labels, mats = np.vstack([labels, label]), np.concatenate([mats, m[None]])
                     words.append(words[idx] + (i,))
                     new_frontier.append(k)
                 row.append(k)
             right.append(row)
         frontier = new_frontier
     right = np.array(right, dtype=int).reshape(len(words), len(gen_matrices))
-    return Closure(bits, mats, words, right)
-
-
-def enumerate_elements(group, dimension=None):
-    """All group elements by breadth-first products of generator matrices.
-
-    Elements are deduplicated by matrix comparison at tolerance 1e-10, and the
-    word recorded for each element is shortlex-minimal by construction.
-    """
-    if dimension is None:
-        dimension = 3
-    action = standard_action(group, dimension)
-    c = closure(action.generator_matrices, dimension=dimension)
-    return [
-        GroupElement(word, m, (-1) ** len(word)) for word, m in zip(c.words, c.matrices)
-    ]
-
-
-def multiplication_table(elements):
-    """table[a][b] = index of elements[a] * elements[b]."""
-    mats = np.array([g.matrix for g in elements])
-    bits = np.zeros(len(mats), dtype=int)
-    table = np.array([_lookup(bits, mats, bits, m @ mats) for m in mats], dtype=int)
-    if np.any(table < 0):
-        raise GroupError("element set not closed under multiplication")
-    return table
-
-
-def orbit(elements, point, tol=MATRIX_TOL):
-    """Distinct images of a point under the listed elements."""
-    images = []
-    for g in elements:
-        q = g.matrix @ np.asarray(point, dtype=float)
-        if not any(np.allclose(q, r, atol=tol, rtol=0.0) for r in images):
-            images.append(q)
-    return images
-
-
-def stabilizer_size(elements, point, tol=MATRIX_TOL):
-    p = np.asarray(point, dtype=float)
-    return sum(1 for g in elements if np.allclose(g.matrix @ p, p, atol=tol, rtol=0.0))
-
-
-class ProductWithTau:
-    """The product Z2 x G with the extra central generator tau.
-
-    tau is the doubling involution; it has no ambient matrix and acts on
-    meshes by a vertex permutation.  Elements are pairs (t, g) with t in
-    {0, 1} and g an element of the base group.
-    """
-
-    def __init__(self, base_group, dimension=None):
-        self.base = base_group
-        self.base_elements = enumerate_elements(base_group, dimension)
-        self.elements = [(t, g) for t in (0, 1) for g in self.base_elements]
-        self._mats = np.array([g.matrix for g in self.base_elements])
-        self._bits = np.zeros(len(self._mats), dtype=int)
-
-    @property
-    def order(self):
-        return 2 * len(self.base_elements)
-
-    def element_name(self, el):
-        t, g = el
-        if t == 0:
-            return g.name()
-        return "t" if not g.word else "t." + g.name()
-
-    def multiply(self, a, b):
-        ta, ga = a
-        tb, gb = b
-        idx = _find(self._bits, self._mats, 0, ga.matrix @ gb.matrix)
-        return ((ta + tb) % 2, self.base_elements[idx])
-
-    def generators(self):
-        """(name, element) pairs for tau and the base-group generators."""
-        gens = [("tau", (1, self.base_elements[0]))]
-        for i in range(self.base.n_generators):
-            gen_idx = next(
-                k for k, g in enumerate(self.base_elements) if g.word == (i,)
-            )
-            gens.append((f"rho{i + 1}", (0, self.base_elements[gen_idx])))
-        return gens
+    return Closure(labels, mats, words, right)

@@ -566,20 +566,35 @@ class GluedMetricSpec:
     pairs: list  # list of (vertex in parent, vertex in attached or None-parent)
 
 
+def ordered_star(tri, star):
+    """The (triangle, corner) pairs of a vertex star in cyclic order following
+    triangle orientation, or None if the walk does not close (an open fan).
+
+    tri lists the triangles' vertices and star the (triangle, corner) pairs
+    at which the vertex sits.
+    """
+    nxt = {tri[ti][(k + 1) % 3]: (ti, k) for ti, k in star}
+    ti, k = star[0]
+    start = cur = tri[ti][(k + 1) % 3]
+    order = []
+    for _ in range(len(star)):
+        corner = nxt.get(cur)
+        if corner is None:
+            return None
+        order.append(corner)
+        ti, k = corner
+        cur = tri[ti][(k + 2) % 3]
+    return order if cur == start else None
+
+
 def _ordered_ring(mesh, v):
     """1-ring neighbors of v in cyclic order following triangle orientation."""
-    tri = mesh.triangles
-    star, k = np.nonzero(tri == v)
-    nxt = dict(zip(tri[star, (k + 1) % 3].tolist(), tri[star, (k + 2) % 3].tolist()))
-    start = next(iter(nxt))
-    ring = [start]
-    cur = nxt[start]
-    while cur != start:
-        ring.append(cur)
-        if len(ring) > len(nxt) + 1:
-            raise MeshError(f"vertex {v} is not an interior disk vertex")
-        cur = nxt[cur]
-    return ring
+    rows, corners = np.nonzero(mesh.triangles == v)
+    tri = mesh.triangles[rows].tolist()
+    order = ordered_star(tri, list(enumerate(corners.tolist()))) if len(rows) else None
+    if order is None:
+        raise MeshError(f"vertex {v} is not an interior disk vertex")
+    return [tri[ti][(k + 1) % 3] for ti, k in order]
 
 
 def glue_cylinder(parent, attached, spec, require_equivariant=()):

@@ -211,7 +211,6 @@ def maximize(
     cluster_tol=fem.DEFAULT_CLUSTER_TOL,
     seed=0,
     count=8,
-    callback=None,
 ):
     """Ascend the normalized first eigenvalue over invariant conformal densities."""
     rho = average_invariant(mesh.density, mesh)
@@ -241,8 +240,6 @@ def maximize(
         w = flatten_weights((U[sel] ** 2), measure[sel])
         residual = _extremality(U, w, measure, sel)
         history.append((it, value, residual))
-        if callback:
-            callback(it, value, residual)
         best = (mesh, value, residual, spec, (i, j), w)
         if residual < residual_tol:
             converged = True

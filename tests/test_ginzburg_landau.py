@@ -4,6 +4,7 @@ import pytest
 from eigenmax.builtins import round_sphere, unit_disk
 from eigenmax.fem import normalized_first
 from eigenmax.ginzburg_landau import (
+    GLError,
     GLState,
     balanced_parameter,
     energy_area_slack,
@@ -15,6 +16,7 @@ from eigenmax.ginzburg_landau import (
     induced_density,
     residual,
     sweepout,
+    transform_group,
 )
 
 SZ_REP = {"sz": np.diag([1.0, 1.0, -1.0]), "sx": np.diag([-1.0, 1.0, 1.0]),
@@ -76,6 +78,18 @@ def test_descent_from_constant_stays():
     state, res, steps = gl_descent(GLState(u, eps=0.5), mesh, rep=None, max_steps=100)
     assert res < 1e-10
     assert np.allclose(state.u, u, atol=1e-9)
+
+
+def test_transform_group_rejects_a_large_permutation_group():
+    # a 12-cycle and a transposition generate all 12! vertex permutations;
+    # the closure stops at its order cap instead of enumerating them
+    mesh = round_sphere(0)
+    n = mesh.n_vertices
+    swap = np.arange(n)
+    swap[[0, 1]] = [1, 0]
+    mesh.actions = {"cycle": np.roll(np.arange(n), 1), "swap": swap}
+    with pytest.raises(GLError, match="small group"):
+        transform_group(mesh)
 
 
 def test_descent_sphere_perturbed_identity():

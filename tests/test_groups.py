@@ -3,18 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from eigenmax import groups
 from eigenmax.groups import (
+    MATRIX_TOL,
     InvalidK,
     InvalidTriple,
     DimensionMismatch,
-    enumerate_elements,
+    closure,
     group_from_json,
     group_order,
     make_group,
-    multiplication_table,
-    orbit,
-    stabilizer_size,
     standard_action,
     subgroup_order,
 )
@@ -30,6 +27,19 @@ ALL_KINDS = [
     make_group("platonic", (2, 3, 4)),
     make_group("platonic", (2, 3, 5)),
 ]
+
+
+def _closure(g):
+    return closure(standard_action(g, 3).generator_matrices)
+
+
+def _orbit_and_stabilizer(mats, point):
+    """Distinct images of a point (within MATRIX_TOL) and its stabilizer order."""
+    p = np.asarray(point, dtype=float)
+    images = mats @ p
+    close = np.all(np.abs(images[:, None] - images[None]) <= MATRIX_TOL, axis=2)
+    n_orbit = int(np.sum(~np.any(np.tril(close, -1), axis=1)))
+    return n_orbit, int(np.sum(close[:, 0]))
 
 
 def test_make_group_examples():
@@ -65,35 +75,31 @@ def test_subgroup_orders():
 
 def test_enumeration_matches_order():
     for g in ALL_KINDS:
-        els = enumerate_elements(g)
-        assert len(els) == group_order(g), g
-        assert els[0].word == ()
+        c = _closure(g)
+        assert c.order == group_order(g), g
+        assert c.words[0] == ()
 
 
 def test_enumeration_icosahedral():
-    g = make_group("platonic", (2, 3, 5))
-    els = enumerate_elements(g)
-    assert len(els) == 120
+    assert _closure(make_group("platonic", (2, 3, 5))).order == 120
 
 
 def test_enumeration_large_dihedral():
     for k in (12, 32):
-        g = make_group("dihedral", (k,))
-        assert len(enumerate_elements(g)) == 2 * k
+        assert _closure(make_group("dihedral", (k,))).order == 2 * k
 
 
 def test_enumeration_small_cases():
-    assert len(enumerate_elements(make_group("trivial"))) == 1
-    one = enumerate_elements(make_group("onestar"))
-    assert [e.word for e in one] == [(), (0,)]
-    assert len(enumerate_elements(make_group("dihedral", (2,)))) == 4
+    assert _closure(make_group("trivial")).order == 1
+    assert _closure(make_group("onestar")).words == [(), (0,)]
+    assert _closure(make_group("dihedral", (2,))).order == 4
 
 
 def test_parity_is_determinant():
     for g in ALL_KINDS[:7]:
-        for el in enumerate_elements(g):
-            assert el.parity == pytest.approx(np.linalg.det(el.matrix), abs=1e-9)
-            assert el.parity == (-1) ** len(el.word)
+        c = _closure(g)
+        for word, m in zip(c.words, c.matrices):
+            assert (-1) ** len(word) == pytest.approx(np.linalg.det(m), abs=1e-9)
 
 
 def test_relation_words_give_identity():
@@ -143,22 +149,24 @@ def test_orbit_stabilizer():
     for g in ALL_KINDS:
         if g.kind == "platonic" and g.params == (2, 3, 5):
             continue
-        els = enumerate_elements(g)
+        mats = _closure(g).matrices
         p = rng.normal(size=3)
         p /= np.linalg.norm(p)
-        assert len(orbit(els, p)) * stabilizer_size(els, p) == group_order(g)
+        n_orbit, n_stab = _orbit_and_stabilizer(mats, p)
+        assert n_orbit * n_stab == group_order(g)
         # a point on the first mirror has stabilizer of order >= 2
         if g.n_generators >= 1:
             q = np.array([0.0, 0.3, 0.8])
             q /= np.linalg.norm(q)
-            assert len(orbit(els, q)) * stabilizer_size(els, q) == group_order(g)
+            n_orbit, n_stab = _orbit_and_stabilizer(mats, q)
+            assert n_orbit * n_stab == group_order(g)
 
 
 def test_tetrahedral_generic_orbit():
-    els = enumerate_elements(make_group("platonic", (2, 3, 3)))
+    mats = _closure(make_group("platonic", (2, 3, 3))).matrices
     p = np.array([0.1, 0.5, 0.7])
     p /= np.linalg.norm(p)
-    assert len(orbit(els, p)) == 24
+    assert _orbit_and_stabilizer(mats, p)[0] == 24
 
 
 def test_multiplication_closure():
@@ -167,13 +175,15 @@ def test_multiplication_closure():
         make_group("platonic", (2, 3, 4)),
         make_group("platonic", (2, 3, 5)),
     ):
-        els = enumerate_elements(g)
-        table = multiplication_table(els)
-        n = len(els)
+        c = _closure(g)
+        table = c.left_table()
+        n = c.order
         # closure and group axioms via the table: each row/col is a permutation
         for a in range(n):
             assert sorted(table[a]) == list(range(n)), g
             assert sorted(table[:, a]) == list(range(n)), g
+        products = np.einsum("aij,bjk->abik", c.matrices, c.matrices)
+        assert np.all(np.abs(products - c.matrices[table]) <= MATRIX_TOL), g
 
 
 def test_json_roundtrip():
@@ -182,13 +192,14 @@ def test_json_roundtrip():
 
 
 def test_product_with_tau():
-    base = make_group("onestar")
-    prod = groups.ProductWithTau(base)
-    assert prod.order == 4
-    gens = dict(prod.generators())
-    assert set(gens) == {"tau", "rho1"}
-    t = gens["tau"]
-    r = gens["rho1"]
-    assert prod.multiply(t, t)[0] == 0
+    # Z2 x 1*: tau carries the two-point swap and no matrix, rho1 the mirror
+    rho1 = standard_action(make_group("onestar"), 3).matrix(0)
+    c = closure([np.eye(3), rho1], [[1, 0], [0, 1]])
+    assert c.order == 4
+    assert c.words[:3] == [(), (0,), (1,)]
+    table = c.left_table()
+    tau, r = 1, 2
+    assert table[tau, tau] == 0
     # tau commutes with rho1
-    assert prod.element_name(prod.multiply(t, r)) == prod.element_name(prod.multiply(r, t))
+    assert table[tau, r] == table[r, tau]
+    assert np.array_equal(c.labels[:, 0], [0, 1, 0, 1])

@@ -231,6 +231,15 @@ def test_glue_cylinder_equivariant():
     assert glued.check_action("sz")
 
 
+def test_glue_cylinder_at_a_boundary_vertex():
+    # a boundary vertex's star is an open fan, so it has no ring to excise
+    disk = unit_disk(1)
+    b = int(disk.boundary_vertices()[0])
+    q = next(v for v in range(disk.n_vertices) if v not in set(disk.boundary_vertices()))
+    with pytest.raises(MeshError, match=f"vertex {b} is not an interior disk vertex"):
+        glue_cylinder(disk, None, GluedMetricSpec(0.05, 1.0, [(b, q)]))
+
+
 def test_density_copy_shares_geometry(monkeypatch):
     mesh = unit_disk(1)
     checks = []
