@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .meshcore import MeshError, SymmetricMesh, _edge_key, mesh_from_positions
+from .meshcore import MeshError, SymmetricMesh, _edge_key, crisscross_cells, mesh_from_positions
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -55,24 +55,21 @@ def round_sphere(level):
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])
     faces = _ICO_FACES.copy()
     for _ in range(level):
-        midpoint = {}
-        new_faces = []
-        verts_list = [v for v in verts]
-
-        def mid(a, b):
-            key = _edge_key(a, b)
-            if key not in midpoint:
-                m = verts_list[a] + verts_list[b]
-                m = m / np.linalg.norm(m)
-                verts_list.append(m)
-                midpoint[key] = len(verts_list) - 1
-            return midpoint[key]
-
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        verts = np.asarray(verts_list)
-        faces = np.asarray(new_faces, dtype=int)
+        # the edges ab, bc, ca of each face in turn; midpoints are numbered
+        # by first appearance
+        ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        codes = np.min(ends, axis=1) * len(verts) + np.max(ends, axis=1)
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        a, b = ends[np.sort(first)].T
+        mids = verts[a] + verts[b]
+        # sqrt(vecdot) is bitwise the per-vector np.linalg.norm
+        mids = mids / np.sqrt(np.vecdot(mids, mids))[:, None]
+        ab, bc, ca = (len(verts) + rank[inverse]).reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+        verts = np.vstack([verts, mids])
     actions = {
         name: _match_permutation(verts, verts * np.array(sign))
         for name, sign in (("sx", [-1, 1, 1]), ("sy", [1, -1, 1]), ("sz", [1, 1, -1]))
@@ -91,39 +88,20 @@ def flat_torus(level, aspect=1.0):
     m = 8 * 2**level
     my = max(2, round(m * aspect))
     dx, dy = 1.0 / m, aspect / my
-    corner = lambda i, j: (i % m) * my + (j % my)
-    center = lambda i, j: m * my + (i % m) * my + (j % my)
+    corner = lambda i, j: (i % m) * my + j % my
+    center = lambda i, j: m * my + corner(i, j)
+    i, j = np.meshgrid(np.arange(m), np.arange(my), indexing="ij")
     pos = np.zeros((2 * m * my, 3))
-    for i in range(m):
-        for j in range(my):
-            pos[corner(i, j), :2] = (i * dx, j * dy)
-            pos[center(i, j), :2] = ((i + 0.5) * dx, (j + 0.5) * dy)
-    tris = []
-    lengths = {}
-    diag = 0.5 * float(np.hypot(dx, dy))
-    for i in range(m):
-        for j in range(my):
-            c00, c10 = corner(i, j), corner(i + 1, j)
-            c11, c01 = corner(i + 1, j + 1), corner(i, j + 1)
-            ct = center(i, j)
-            tris += [[c00, c10, ct], [c10, c11, ct], [c11, c01, ct], [c01, c00, ct]]
-            lengths[_edge_key(c00, c10)] = dx
-            lengths[_edge_key(c01, c11)] = dx
-            lengths[_edge_key(c00, c01)] = dy
-            lengths[_edge_key(c10, c11)] = dy
-            for node in (c00, c10, c11, c01):
-                lengths[_edge_key(node, ct)] = diag
-    sx = np.zeros(2 * m * my, dtype=int)
-    sy = np.zeros(2 * m * my, dtype=int)
-    for i in range(m):
-        for j in range(my):
-            sx[corner(i, j)] = corner(-i, j)
-            sx[center(i, j)] = center(-i - 1, j)
-            sy[corner(i, j)] = corner(i, -j)
-            sy[center(i, j)] = center(i, -j - 1)
+    pos[:, 0] = np.concatenate([i * dx, (i + 0.5) * dx], axis=None)
+    pos[:, 1] = np.concatenate([j * dy, (j + 0.5) * dy], axis=None)
+    tris, lengths = crisscross_cells(
+        corner(i, j), corner(i + 1, j), corner(i + 1, j + 1), corner(i, j + 1), center(i, j), dx, dy
+    )
+    sx = np.concatenate([corner(-i, j), center(-i - 1, j)], axis=None)
+    sy = np.concatenate([corner(i, -j), center(i, -j - 1)], axis=None)
     return SymmetricMesh(
         pos,
-        np.asarray(tris, dtype=int),
+        tris,
         lengths,
         actions={"sx": sx, "sy": sy},
         meta={"builtin": "torus", "level": level, "aspect": aspect},
@@ -159,30 +137,23 @@ def _stitch_rings(inner, outer):
 def unit_disk(level):
     """Polar mesh of the unit disk; boundary panel 'free', 6*(4*2^level) rim vertices."""
     m = 4 * 2**level
-    pos = [(0.0, 0.0, 0.0)]
-    rings = [[0]]
-    for j in range(1, m + 1):
-        r = j / m
-        n = 6 * j
-        ring = []
-        for k in range(n):
-            th = 2 * np.pi * k / n
-            pos.append((r * np.cos(th), r * np.sin(th), 0.0))
-            ring.append(len(pos) - 1)
-        rings.append(ring)
+    # the center, then ring j = 1..m of 6j vertices at radius j/m
+    sizes = np.array([1] + [6 * j for j in range(1, m + 1)])
+    first = np.cumsum(sizes) - sizes
+    ring, size = np.repeat(np.arange(m + 1), sizes), np.repeat(sizes, sizes)
+    k = np.arange(len(ring)) - first[ring]
+    th = 2 * np.pi * k / size
+    pos = np.column_stack([ring / m * np.cos(th), ring / m * np.sin(th), np.zeros(len(ring))])
+    rings = [list(range(f, f + n)) for f, n in zip(first.tolist(), sizes.tolist())]
     tris = []
     for j in range(m):
         tris += _stitch_rings(rings[j], rings[j + 1])
     rim = rings[-1]
     panels = {_edge_key(rim[k], rim[(k + 1) % len(rim)]): "free" for k in range(len(rim))}
     # reflection across the x-axis: theta -> -theta on every ring
-    perm = np.zeros(len(pos), dtype=int)
-    for ring in rings:
-        n = len(ring)
-        for k in range(n):
-            perm[ring[k]] = ring[(-k) % n]
+    perm = first[ring] + (-k) % size
     return mesh_from_positions(
-        np.asarray(pos), np.asarray(tris, dtype=int), panels=panels, actions={"sy": perm},
+        pos, np.asarray(tris, dtype=int), panels=panels, actions={"sy": perm},
         meta={"builtin": "disk", "level": level},
     )
 
@@ -204,44 +175,25 @@ def flat_cylinder(length, level, both_steklov=False, waist_symmetric=False):
     dt = length / n_t
     vid = lambda i, j: (i % m) * (n_t + 1) + j
     cid = lambda i, j: m * (n_t + 1) + (i % m) * n_t + j
-    pos = np.zeros((m * (n_t + 1) + m * n_t, 3))
-    for i in range(m):
-        for j in range(n_t + 1):
-            pos[vid(i, j)] = (np.cos(i * dth), np.sin(i * dth), j * dt)
-        for j in range(n_t):
-            th = (i + 0.5) * dth
-            pos[cid(i, j)] = (np.cos(th), np.sin(th), (j + 0.5) * dt)
-    tris = []
-    lengths = {}
-    half_diag = 0.5 * float(np.hypot(dth, dt))
-    for i in range(m):
-        for j in range(n_t):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            ct = cid(i, j)
-            tris += [[a, b, ct], [b, c, ct], [c, d, ct], [d, a, ct]]
-            lengths[_edge_key(a, b)] = dth
-            lengths[_edge_key(d, c)] = dth
-            lengths[_edge_key(a, d)] = dt
-            lengths[_edge_key(b, c)] = dt
-            for node in (a, b, c, d):
-                lengths[_edge_key(node, ct)] = half_diag
-    panels = {}
-    for i in range(m):
-        panels[_edge_key(vid(i, 0), vid(i + 1, 0))] = "free" if both_steklov else "end0"
-        panels[_edge_key(vid(i, n_t), vid(i + 1, n_t))] = "free" if both_steklov else "endL"
-    tau = np.zeros(len(pos), dtype=int)
-    sth = np.zeros(len(pos), dtype=int)
-    for i in range(m):
-        for j in range(n_t + 1):
-            tau[vid(i, j)] = vid(i, n_t - j)
-            sth[vid(i, j)] = vid(-i, j)
-        for j in range(n_t):
-            tau[cid(i, j)] = cid(i, n_t - 1 - j)
-            sth[cid(i, j)] = cid(-i - 1, j)
+    i, j = np.meshgrid(np.arange(m), np.arange(n_t + 1), indexing="ij")
+    ic, jc = i[:, :-1], j[:, :-1]
+    theta = np.concatenate([i * dth, (ic + 0.5) * dth], axis=None)
+    height = np.concatenate([j * dt, (jc + 0.5) * dt], axis=None)
+    pos = np.column_stack([np.cos(theta), np.sin(theta), height])
+    tris, lengths = crisscross_cells(
+        vid(ic, jc), vid(ic + 1, jc), vid(ic + 1, jc + 1), vid(ic, jc + 1), cid(ic, jc), dth, dt
+    )
+    # the rim edges: end0, then endL, at each i
+    ring = np.arange(m)
+    rims = np.stack([vid(ring, 0), vid(ring + 1, 0), vid(ring, n_t), vid(ring + 1, n_t)], axis=1)
+    rims = np.sort(rims.reshape(-1, 2), axis=1).tolist()
+    labels = ["free", "free"] if both_steklov else ["end0", "endL"]
+    panels = dict(zip(map(tuple, rims), labels * m))
+    tau = np.concatenate([vid(i, n_t - j), cid(ic, n_t - 1 - jc)], axis=None)
+    sth = np.concatenate([vid(-i, j), cid(-ic - 1, jc)], axis=None)
     return SymmetricMesh(
         pos,
-        np.asarray(tris, dtype=int),
+        tris,
         lengths,
         panels=panels,
         actions={"tau": tau, "stheta": sth},

@@ -42,9 +42,6 @@ from .taxonomy import (
     validate_species,
 )
 
-log = logging.getLogger("eigenmax")
-
-
 class UsageError(Exception):
     pass
 
@@ -134,27 +131,54 @@ def load_descriptor(arg):
     return parse_descriptor(arg)
 
 
+#: subdivision levels a builtin: source accepts (level 6 is a 40962-vertex sphere)
+BUILTIN_LEVELS = range(0, 7)
+#: the keys each builtin: source accepts, short name -> keyword of builtin()
+BUILTIN_KEYS = {
+    "sphere": {},
+    "torus": {"a": "aspect", "aspect": "aspect"},
+    "disk": {},
+    "cylinder": {"L": "length", "length": "length"},
+    "annulus": {"mod": "modulus", "modulus": "modulus"},
+}
+
+
+def parse_builtin(arg, resolution):
+    """Mesh from 'builtin:<name>[:k=v...]'; the level is :level= or else
+    resolution (default 2), an integer in BUILTIN_LEVELS."""
+    name, *parts = arg.split(":")[1:]
+    keys = BUILTIN_KEYS.get(name, {})
+    kwargs = {}
+    level = str(resolution if resolution is not None else 2)
+    for p in parts:
+        k, _, val = p.partition("=")
+        if k == "level":
+            level = val
+        elif k in keys:
+            try:
+                kwargs[keys[k]] = float(val)
+            except ValueError:
+                raise UsageError(f"builtin:{name}: {k}={val!r} is not a number") from None
+        else:
+            known = ", ".join(sorted({*keys, "level"}))
+            raise UsageError(f"builtin:{name} has no key {k!r} (known: {known})")
+    if not re.fullmatch(r"-?\d+", level) or int(level) not in BUILTIN_LEVELS:
+        raise UsageError(
+            f"builtin level {level} is not an integer from {BUILTIN_LEVELS[0]} to "
+            f"{BUILTIN_LEVELS[-1]} (a builtin's subdivision level, :level= or --resolution)"
+        )
+    return builtin(name, level=int(level), **kwargs)
+
+
 def parse_mesh_source(arg, resolution, seed):
     """Mesh from 'builtin:<name>[:k=v...]', a mesh JSON file, or a descriptor."""
     if arg.startswith("builtin:"):
-        parts = arg.split(":")[1:]
-        name = parts[0]
-        kwargs = {}
-        for p in parts[1:]:
-            k, _, val = p.partition("=")
-            kwargs[{"L": "length", "mod": "modulus", "a": "aspect"}.get(k, k)] = float(val)
-        level = int(kwargs.pop("level", resolution if resolution is not None else 2))
-        return builtin(name, level=level, **kwargs)
+        return parse_builtin(arg, resolution)
     path = Path(arg)
-    if path.exists() and path.suffix == ".json":
+    if path.suffix == ".json" and path.exists():
         obj = json.loads(path.read_text())
         if obj.get("format") == "eigenmax-mesh":
             return SymmetricMesh.from_json(obj)
-        return build_mesh(
-            descriptor_from_json(obj),
-            target_vertices=resolution or 2000,
-            seed=seed,
-        )
     return build_mesh(load_descriptor(arg), target_vertices=resolution or 2000, seed=seed)
 
 
@@ -471,7 +495,6 @@ def main(argv=None):
     try:
         return args.func(args)
     except UsageError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValidationFailure as exc:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
+from .equivariant import involution_parities
 from .meshcore import MeshError, components, ordered_star
 
 
@@ -66,18 +67,12 @@ def first_eigenmap(mesh, spectrum, tau=None):
     lams = spectrum.eigenvalues[i:j].copy()
     parity = [0] * (j - i)
     if tau is not None:
-        perm = mesh.actions[tau]
-        G = U.T @ (spectrum.mass[:, None] * U[perm])
-        G = 0.5 * (G + G.T)
-        eig, V = np.linalg.eigh(G)
-        order = np.argsort(-eig)  # even (+1) components first
-        V = V[:, order]
-        eig = eig[order]
+        parity, V = involution_parities(U, spectrum.mass, mesh.actions[tau])
+        if np.any(parity == 0):
+            raise WrongParitySplit("cluster parities not resolved")
+        parity = parity.tolist()
         U = U @ V
         lams = np.array([float(v.T @ np.diag(lams) @ v) for v in V.T])
-        parity = [1 if e > 0.5 else (-1 if e < -0.5 else 0) for e in eig]
-        if any(p == 0 for p in parity):
-            raise WrongParitySplit("cluster parities not resolved")
     measure = spectrum.mass
     sel = measure > 0
     mu = measure[sel] / measure[sel].sum()

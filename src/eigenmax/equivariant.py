@@ -85,22 +85,29 @@ def labeled_spectra_json(mesh, names, kind="laplace", count=4, seed=0):
     return out
 
 
-def invariant_multiplicity(spectrum, mesh, name, cluster_index=0):
-    """Dimension and parity split of a cluster w.r.t. a marked involution.
+def involution_parities(U, mass, perm):
+    """Parity (+1 even, -1 odd, 0 unresolved) of the eigenvectors of an
+    involution's Gram matrix on a cluster basis, and those eigenvectors.
 
-    Parities are read off the involution's Gram matrix on the cluster basis
-    (eigen-sign count), which stays robust when the solver mixes vectors
-    inside the cluster.
+    The Gram matrix U^T diag(mass) U[perm] is symmetrized and
+    eigendecomposed; eigenvectors come even first, and an eigenvalue counts
+    as a parity when it is above 0.5 or below -0.5, which stays robust when
+    the solver mixes vectors inside the cluster.
     """
+    G = U.T @ (mass[:, None] * U[perm])
+    eig, V = np.linalg.eigh(0.5 * (G + G.T))
+    order = np.argsort(-eig)
+    eig = eig[order]
+    return np.where(eig > 0.5, 1, np.where(eig < -0.5, -1, 0)), V[:, order]
+
+
+def invariant_multiplicity(spectrum, mesh, name, cluster_index=0):
+    """Dimension and parity split of a cluster w.r.t. a marked involution
+    (``involution_parities`` on the cluster basis)."""
     perm = _involution_perm(mesh, name)
     i, j = spectrum.clusters()[cluster_index]
-    U = spectrum.vectors[:, i:j]
-    mass = spectrum.mass
-    G = U.T @ (mass[:, None] * U[perm])
-    G = 0.5 * (G + G.T)
-    eig = np.linalg.eigvalsh(G)
-    even = int(np.sum(eig > 0.5))
-    odd = int(np.sum(eig < -0.5))
+    parity = involution_parities(spectrum.vectors[:, i:j], spectrum.mass, perm)[0]
+    even, odd = int(np.sum(parity == 1)), int(np.sum(parity == -1))
     if even + odd != j - i:
         raise EquivariantError("cluster parities are not resolved (mixed Gram spectrum)")
     return {"dim": j - i, "even": even, "odd": odd}

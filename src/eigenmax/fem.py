@@ -380,8 +380,16 @@ def restricted_spectrum(K, M, count, lift, mesh_mass, seed=0, tol=1e-9):
     return Spectrum(vals, lift(vecs), mesh_mass, "laplace", n_zero=_zero_count(vals, vals[-1]))
 
 
+def _check_labels(mesh, labels):
+    """Raises FemError naming the labels that are no panel label of the mesh."""
+    unknown = sorted(set(labels) - set(mesh.panel_labels())) if labels else []
+    if unknown:
+        raise FemError(f"no panel is labeled {unknown}; the mesh's labels are {mesh.panel_labels()}")
+
+
 def _free_vertices(mesh, dirichlet_panels):
     """Boolean mask of the vertices on none of the Dirichlet panels."""
+    _check_labels(mesh, dirichlet_panels)
     on_free = np.ones(mesh.n_vertices, dtype=bool)
     for lab in dirichlet_panels:
         on_free[mesh.panel_vertices(lab)] = False
@@ -595,6 +603,7 @@ def mixed_spectrum(mesh, bc, count=8, seed=0):
     least one Steklov panel this is a (mixed) Steklov problem; otherwise a
     Laplace problem with the given Dirichlet panels.
     """
+    _check_labels(mesh, bc)
     steklov = [lab for lab, c in bc.items() if c == "steklov"]
     dirichlet = [lab for lab, c in bc.items() if c == "dirichlet"]
     if steklov:

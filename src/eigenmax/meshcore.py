@@ -155,6 +155,27 @@ def _edge_arrays(record):
     return pairs, lengths
 
 
+def crisscross_cells(a, b, c, d, center, du, dv):
+    """Flat rectangular cells a-b-c-d, each cut into four triangles at its center vertex.
+
+    The corner and center arrays hold one vertex per cell.  a-b and d-c have
+    length du, a-d and b-c length dv, and each corner is half a diagonal from
+    its center.  Returns the (4k, 3) triangles (a, b, ct), (b, c, ct),
+    (c, d, ct), (d, a, ct), four per cell in cell order, and the (edges,
+    lengths) record of their distinct edges, i < j, rows sorted.
+    """
+    a, b, c, d, ct = (np.ravel(v).astype(np.int64) for v in (a, b, c, d, center))
+    triangles = np.stack([a, b, ct, b, c, ct, c, d, ct, d, a, ct], axis=1).reshape(-1, 3)
+    half_diag = 0.5 * float(np.hypot(du, dv))
+    lo = np.concatenate([a, d, a, b, a, b, c, d])
+    hi = np.concatenate([b, c, d, c, ct, ct, ct, ct])
+    lengths = np.repeat([du, du, dv, dv, half_diag, half_diag, half_diag, half_diag], len(a))
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    base = int(hi.max(initial=0)) + 1
+    first = np.unique(lo * base + hi, return_index=True)[1]
+    return triangles, (np.column_stack([lo[first], hi[first]]), lengths[first])
+
+
 class MeshGeometry:
     """Density-independent data of a mesh, shared by all its density copies.
 
@@ -658,129 +679,77 @@ def glue_cylinder(parent, attached, spec, require_equivariant=()):
             kept_actions[name] = perm
 
     n_t = max(1, int(np.ceil(m * L / (2 * np.pi))))
-    keep = ~np.isin(combined.triangles, pair_points).any(axis=1)
-    triangles = combined.triangles[keep].tolist()
-    positions = [p for p in combined.positions]
-    lengths = {}  # cylinder edge -> flat length
-
-    circ_len = 2 * np.pi * eps / m
-    axial_len = L * eps / n_t
-    half_diag = 0.5 * float(np.hypot(circ_len, axial_len))
-
-    cyl_rows = {}  # pair index -> n_t+1 rows of ring vertices, aligned with ring of p
-    cyl_centers = {}  # pair index -> n_t rows of quad-center vertices
-    for pi, (p, q) in enumerate(pairs):
-        ring_p = rings[p]
-        ring_q = rings[q]
-        rows = [ring_p]
-        axis = combined.positions[q] - combined.positions[p]
-        for j in range(1, n_t):
-            row = []
-            for i in range(m):
-                positions.append(combined.positions[ring_p[i]] + axis * (j / n_t))
-                row.append(len(positions) - 1)
-            rows.append(row)
+    pos, n = combined.positions, combined.n_vertices
+    new_positions = [pos]
+    # per pair: n_t+1 rows of ring vertices, aligned with the ring of p, and
+    # n_t rows of cell centers
+    rows, centers = [], []
+    for p, q in pairs:
+        ring_p, ring_q = np.asarray(rings[p]), np.asarray(rings[q])
         # weld the far ring onto q's hole boundary with reversed orientation;
         # when an involution in the action table swaps the two ends, align
         # the weld with it so the involution extends over the cylinder
-        far = None
+        far = ring_q[-np.arange(m) % m]
         for perm in kept_actions.values():
             if int(perm[p]) == q and np.array_equal(perm[perm], np.arange(len(perm))):
-                cand = [int(perm[v]) for v in ring_p]
-                if set(cand) == set(ring_q):
-                    far = cand
+                if np.array_equal(np.sort(perm[ring_p]), np.sort(ring_q)):
+                    far = perm[ring_p]
                     break
-        if far is None:
-            far = [ring_q[(-i) % m] for i in range(m)]
-        rows.append(far)
-        centers = []
-        for j in range(n_t):
-            crow = []
-            for i in range(m):
-                mid = 0.5 * (
-                    combined.positions[ring_p[i]]
-                    + combined.positions[ring_p[(i + 1) % m]]
-                ) + axis * ((j + 0.5) / n_t)
-                positions.append(mid)
-                crow.append(len(positions) - 1)
-            centers.append(crow)
-        cyl_rows[pi] = rows
-        cyl_centers[pi] = centers
-        for j in range(n_t):
-            r0, r1 = rows[j], rows[j + 1]
-            for i in range(m):
-                a, b = r0[i], r0[(i + 1) % m]
-                c, d = r1[(i + 1) % m], r1[i]
-                ct = centers[j][i]
-                triangles += [[a, b, ct], [b, c, ct], [c, d, ct], [d, a, ct]]
-                lengths[_edge_key(a, b)] = circ_len
-                lengths[_edge_key(d, c)] = circ_len
-                lengths[_edge_key(a, d)] = axial_len
-                lengths[_edge_key(b, c)] = axial_len
-                for node in (a, b, c, d):
-                    lengths[_edge_key(node, ct)] = half_diag
-        # boundary rings carry the flat-cylinder lengths too (shared edges)
-        for i in range(m):
-            lengths[_edge_key(rows[0][i], rows[0][(i + 1) % m])] = circ_len
-            lengths[_edge_key(rows[-1][i], rows[-1][(i + 1) % m])] = circ_len
+        inner = n + np.arange((n_t - 1) * m).reshape(n_t - 1, m)
+        rows.append(np.vstack([ring_p, inner, far]))
+        centers.append(n + (n_t - 1) * m + np.arange(n_t * m).reshape(n_t, m))
+        n += (2 * n_t - 1) * m
+        axis = pos[q] - pos[p]
+        new_positions += [
+            (pos[ring_p] + axis * (np.arange(1, n_t) / n_t)[:, None, None]).reshape(-1, 3),
+            (0.5 * (pos[ring_p] + pos[np.roll(ring_p, -1)])
+             + axis * ((np.arange(n_t) + 0.5) / n_t)[:, None, None]).reshape(-1, 3),
+        ]
+    rows, centers = np.stack(rows), np.stack(centers)
+    cyl_tris, (cyl_edges, cyl_lengths) = crisscross_cells(
+        rows[:, :-1], np.roll(rows[:, :-1], -1, axis=2), np.roll(rows[:, 1:], -1, axis=2),
+        rows[:, 1:], centers, 2 * np.pi * eps / m, L * eps / n_t,
+    )
 
     # extend actions over the cylinder rows
+    pair_of = {v: k for k, pq in enumerate(pairs) for v in pq}
     actions = {}
     for name, perm in kept_actions.items():
-        new_perm = np.arange(len(positions), dtype=int)
+        new_perm = np.arange(n)
         new_perm[: len(perm)] = perm
-        ok = True
-        for pi, (p, q) in enumerate(pairs):
-            ip = int(perm[p])
-            # image pair and whether orientation along the cylinder flips
-            qi = pair_lookup[ip]
-            target = next(k for k, pq in enumerate(pairs) if set(pq) == {ip, qi})
-            flip = pairs[target][0] != ip
-            src_rows, src_centers = cyl_rows[pi], cyl_centers[pi]
-            dst_rows, dst_centers = cyl_rows[target], cyl_centers[target]
-            ring_p = rings[p]
-            ring_img = rings[pairs[target][0]]
-            # the permutation restricted to the ring of p lands on a ring of
-            # the image pair; express it in that ring's indexing
-            try:
-                if not flip:
-                    idx_map = [ring_img.index(int(perm[v])) for v in ring_p]
-                else:
-                    # perm maps ring of p onto the far ring of the image
-                    # cylinder; the far row is ring_q reversed
-                    far = dst_rows[-1]
-                    idx_map = [far.index(int(perm[v])) for v in ring_p]
-            except ValueError:
-                ok = False
+        for src, (p, _) in enumerate(pairs):
+            # the image pair, and whether the image runs along its cylinder backwards
+            target = pair_of[int(perm[p])]
+            flip = pairs[target][0] != int(perm[p])
+            dst_rows = rows[target][::-1] if flip else rows[target]
+            dst_centers = centers[target][::-1] if flip else centers[target]
+            # the permutation restricted to the ring of p lands on the first
+            # row of the image; express it in that row's indexing
+            where = {v: k for k, v in enumerate(dst_rows[0].tolist())}
+            idx = [where.get(v) for v in perm[rows[src][0]].tolist()]
+            if None in idx:
                 break
-            for j in range(1, n_t):
-                dst_j = n_t - j if flip else j
-                for i in range(m):
-                    new_perm[src_rows[j][i]] = dst_rows[dst_j][idx_map[i]]
-            for j in range(n_t):
-                dst_j = n_t - 1 - j if flip else j
-                for i in range(m):
-                    a = idx_map[i]
-                    b = idx_map[(i + 1) % m]
-                    ci = a if (a + 1) % m == b else b
-                    new_perm[src_centers[j][i]] = dst_centers[dst_j][ci]
-        if ok:
+            idx = np.array(idx)
+            new_perm[rows[src][1:-1]] = dst_rows[1:-1][:, idx]
+            nxt = np.roll(idx, -1)
+            new_perm[centers[src]] = dst_centers[:, np.where((idx + 1) % m == nxt, idx, nxt)]
+        else:
             actions[name] = new_perm
 
     # the kept edges, except the rims, which take the cylinder's lengths
-    cyl_edges, cyl_lengths = _edge_arrays(lengths)
-    n = len(positions)
     kept = ~np.isin(combined.edges, pair_points).any(axis=1)
     kept &= ~np.isin(combined.edges @ [n, 1], cyl_edges @ [n, 1])
     edges = np.vstack([combined.edges[kept], cyl_edges])
     lengths = np.concatenate([combined.lengths[kept], cyl_lengths])
+    positions = np.vstack(new_positions)
+    keep = ~np.isin(combined.triangles, pair_points).any(axis=1)
+    triangles = np.vstack([combined.triangles[keep], cyl_tris])
     # drop the excised center vertices, and the panels on them, and compact indices
-    triangles = np.asarray(triangles, dtype=int)
     used = np.zeros(len(positions), dtype=bool)
     used[triangles.ravel()] = True
     remap = -np.ones(len(positions), dtype=int)
     remap[used] = np.arange(int(used.sum()))
-    positions = np.asarray(positions)[used]
+    positions = positions[used]
     triangles = remap[triangles]
     panels = {
         (int(remap[a]), int(remap[b])): lab

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from eigenmax.builtins import round_sphere
+from eigenmax import cli, fem
+from eigenmax.builtins import flat_cylinder, round_sphere
 from eigenmax.cli import main, parse_btype, parse_descriptor, parse_group
 
 
@@ -106,6 +107,38 @@ def test_spectrum_mixed_cylinder(capsys):
 
 def test_spectrum_count_error(capsys):
     assert run(["spectrum", "builtin:disk", "--count", "0"]) == 1
+
+
+def test_builtin_level_out_of_range_is_a_usage_error(capsys):
+    assert run(["spectrum", "builtin:torus", "--resolution", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: builtin level -1 is not an integer")
+
+
+def test_builtin_sources_are_checked_before_any_mesh_is_built(tmp_path, monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError(f"built builtin {args} {kwargs}")
+
+    monkeypatch.setattr(cli, "builtin", build)
+    # optimize's default --resolution 4000 would be subdivision level 4000
+    for argv in (["optimize", "builtin:sphere", "--out", str(tmp_path)],
+                 ["spectrum", "builtin:sphere", "--resolution", "-1"],
+                 ["spectrum", "builtin:sphere", "--resolution", "7"],
+                 ["spectrum", "builtin:disk:level=2.5"],
+                 ["spectrum", "builtin:disk:foo=3"],
+                 ["spectrum", "builtin:sphere:L=2"],
+                 ["spectrum", "builtin:cylinder:L=abc"]):
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+
+
+def test_unknown_boundary_condition_labels_are_a_validation_failure(capsys):
+    assert run(["spectrum", "builtin:cylinder:L=1", "--kind", "mixed",
+                "--bc", "enx0=dirichlet", "--resolution", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation: ") and "'enx0'" in err and "'end0', 'endL'" in err
+    with pytest.raises(fem.FemError, match="enx0"):
+        fem.laplace_spectrum(flat_cylinder(1.0, 0), dirichlet_panels=["enx0"])
 
 
 def test_optimize_verify_roundtrip(tmp_path, capsys):

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from eigenmax.builtins import (
+    _ICO_FACES,
+    _ICO_VERTS,
+    _match_permutation,
     builtin,
     conformal_annulus,
     flat_cylinder,
@@ -238,6 +241,109 @@ def test_glue_cylinder_at_a_boundary_vertex():
     q = next(v for v in range(disk.n_vertices) if v not in set(disk.boundary_vertices()))
     with pytest.raises(MeshError, match=f"vertex {b} is not an interior disk vertex"):
         glue_cylinder(disk, None, GluedMetricSpec(0.05, 1.0, [(b, q)]))
+
+
+def _reference_cells(cells, du, dv):
+    """Triangles and {(i, j): length} of criss-cross cells (a, b, c, d, center), cell by cell."""
+    tris, lengths = [], {}
+    half_diag = 0.5 * float(np.hypot(du, dv))
+    for a, b, c, d, ct in cells:
+        tris += [[a, b, ct], [b, c, ct], [c, d, ct], [d, a, ct]]
+        lengths[_edge_key(a, b)] = lengths[_edge_key(d, c)] = du
+        lengths[_edge_key(a, d)] = lengths[_edge_key(b, c)] = dv
+        for node in (a, b, c, d):
+            lengths[_edge_key(node, ct)] = half_diag
+    return tris, lengths
+
+
+def _reference_sphere(level):
+    """The icosphere, its midpoints numbered by a dict, face by face."""
+    verts = list(_ICO_VERTS / np.linalg.norm(_ICO_VERTS[0]))
+    faces = _ICO_FACES.tolist()
+    for _ in range(level):
+        midpoint, new_faces = {}, []
+        for face in faces:
+            ids = []
+            for a, b in zip(face, face[1:] + face[:1]):  # ab, bc, ca
+                key = _edge_key(a, b)
+                if key not in midpoint:
+                    m = verts[a] + verts[b]
+                    verts.append(m / np.linalg.norm(m))
+                    midpoint[key] = len(verts) - 1
+                ids.append(midpoint[key])
+            (a, b, c), (ab, bc, ca) = face, ids
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    verts = np.asarray(verts)
+    signs = (("sx", [-1, 1, 1]), ("sy", [1, -1, 1]), ("sz", [1, 1, -1]))
+    actions = {name: _match_permutation(verts, verts * np.array(s)) for name, s in signs}
+    return mesh_from_positions(verts, faces, actions=actions)
+
+
+def _reference_torus(level, aspect):
+    m = 8 * 2**level
+    my = max(2, round(m * aspect))
+    corner = lambda i, j: (i % m) * my + (j % my)
+    center = lambda i, j: m * my + (i % m) * my + (j % my)
+    cells = [(corner(i, j), corner(i + 1, j), corner(i + 1, j + 1), corner(i, j + 1), center(i, j))
+             for i in range(m) for j in range(my)]
+    tris, lengths = _reference_cells(cells, 1.0 / m, aspect / my)
+    sx, sy = np.zeros(2 * m * my, dtype=int), np.zeros(2 * m * my, dtype=int)
+    for i in range(m):
+        for j in range(my):
+            sx[corner(i, j)], sx[center(i, j)] = corner(-i, j), center(-i - 1, j)
+            sy[corner(i, j)], sy[center(i, j)] = corner(i, -j), center(i, -j - 1)
+    return SymmetricMesh(np.zeros((2 * m * my, 3)), tris, lengths, actions={"sx": sx, "sy": sy})
+
+
+def _reference_cylinder(length, level, both_steklov=False, waist_symmetric=False):
+    m = 24 * 2**level
+    n_t = max(2, round(m * length / (2 * np.pi)))
+    n_t += waist_symmetric and n_t % 2
+    vid = lambda i, j: (i % m) * (n_t + 1) + j
+    cid = lambda i, j: m * (n_t + 1) + (i % m) * n_t + j
+    cells = [(vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1), cid(i, j))
+             for i in range(m) for j in range(n_t)]
+    tris, lengths = _reference_cells(cells, 2 * np.pi / m, length / n_t)
+    panels = {}
+    for i in range(m):
+        panels[_edge_key(vid(i, 0), vid(i + 1, 0))] = "free" if both_steklov else "end0"
+        panels[_edge_key(vid(i, n_t), vid(i + 1, n_t))] = "free" if both_steklov else "endL"
+    n = m * (2 * n_t + 1)
+    tau, sth = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    for i in range(m):
+        for j in range(n_t + 1):
+            tau[vid(i, j)], sth[vid(i, j)] = vid(i, n_t - j), vid(-i, j)
+        for j in range(n_t):
+            tau[cid(i, j)], sth[cid(i, j)] = cid(i, n_t - 1 - j), cid(-i - 1, j)
+    actions = {"tau": tau, "stheta": sth}
+    return SymmetricMesh(np.zeros((n, 3)), tris, lengths, panels=panels, actions=actions)
+
+
+def test_builtins_match_the_loops_they_replaced():
+    cases = []
+    for level in (0, 1, 2):
+        cases += [(round_sphere(level), _reference_sphere(level)),
+                  (flat_torus(level), _reference_torus(level, 1.0)),
+                  (flat_torus(level, 0.37), _reference_torus(level, 0.37)),
+                  (flat_cylinder(1.3, level), _reference_cylinder(1.3, level))]
+    cases += [(flat_cylinder(1.2, 1, waist_symmetric=True),
+               _reference_cylinder(1.2, 1, waist_symmetric=True)),
+              (conformal_annulus(0.4, 1),
+               _reference_cylinder(2 * np.pi * 0.4, 1, both_steklov=True, waist_symmetric=True))]
+    for mesh, ref in cases:
+        label = mesh.meta
+        for field in ("triangles", "edges", "lengths"):
+            new, old = getattr(mesh, field), getattr(ref, field)
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes(), (label, field)
+        assert list(mesh.actions) == list(ref.actions), label
+        for name, perm in mesh.actions.items():
+            assert perm.dtype == ref.actions[name].dtype, (label, name)
+            assert perm.tobytes() == ref.actions[name].tobytes(), (label, name)
+        assert list(mesh.panels.items()) == list(ref.panels.items()), label
+    for level in (0, 1, 2):  # the sphere's midpoints too are the loop's, bit for bit
+        new, old = round_sphere(level).positions, _reference_sphere(level).positions
+        assert new.tobytes() == old.tobytes()
 
 
 def test_density_copy_shares_geometry(monkeypatch):
