@@ -86,7 +86,7 @@ def flat_torus(level, aspect=1.0):
     reflections sx: x -> -x and sy: y -> -y exact mesh symmetries.
     """
     m = 8 * 2**level
-    my = max(2, round(m * aspect))
+    my = max(3, round(m * aspect))
     dx, dy = 1.0 / m, aspect / my
     corner = lambda i, j: (i % m) * my + j % my
     center = lambda i, j: m * my + corner(i, j)

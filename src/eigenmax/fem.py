@@ -33,6 +33,9 @@ DENSE_CUTOFF = 600
 # it gives way to a shift-invert solve
 WARM_RTOL = 1e-7
 WARM_MAXITER = 40
+# the Rayleigh-Ritz bound of a warm start is skipped when the start block's
+# Gram matrix under the new mass is more ill-conditioned than this
+RITZ_MAX_CONDITION = 1e8
 
 log = logging.getLogger(__name__)
 
@@ -141,7 +144,15 @@ class Spectrum:
     """
 
     def __init__(
-        self, eigenvalues, vectors, mass, kind, n_zero=0, cluster_tol=DEFAULT_CLUSTER_TOL, factor=None
+        self,
+        eigenvalues,
+        vectors,
+        mass,
+        kind,
+        n_zero=0,
+        cluster_tol=DEFAULT_CLUSTER_TOL,
+        factor=None,
+        bounded=False,
     ):
         self.eigenvalues = eigenvalues
         if callable(vectors):
@@ -155,6 +166,9 @@ class Spectrum:
         # factorization of K - sigma*M made by the shift-invert solve of this
         # spectrum; it preconditions warm-started solves of nearby densities
         self.factor = factor
+        # the eigenvalues are Rayleigh-Ritz upper bounds of a warm start's
+        # block, not converged eigenvalues (laplace_spectrum(below=))
+        self.bounded = bounded
 
     @cached_property
     def vectors(self):
@@ -343,7 +357,7 @@ def _zero_count(vals, scale):
     return int(np.sum(np.abs(vals) < tol))
 
 
-def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start=None):
+def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start=None, below=None):
     """Laplace eigenvalues; zero mode included (and reported) unless Dirichlet.
 
     start, a spectrum of the same mesh at a nearby density that carries its
@@ -354,6 +368,14 @@ def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start
     above the first cluster can miss an eigenvalue of the pencil.  With
     Dirichlet panels the pencil is restricted to the free vertices, and the
     spectrum carries no factorization.
+
+    below, a floor for the first nonzero eigenvalue of a warm solve: when the
+    Rayleigh-Ritz value of the start block X at index start.n_zero, from
+    X^T K X c = theta X^T M X c, is already below it, those Ritz pairs are
+    returned (bounded=True, n_zero=start.n_zero) and no eigensolve runs.  By
+    Courant-Fischer each Ritz value is an upper bound of the eigenvalue of the
+    same index, so the first nonzero eigenvalue is certainly below the floor
+    too; the returned values are bounds, not eigenvalues.
     """
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
@@ -364,9 +386,38 @@ def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start
         return restricted_spectrum(K[free][:, free].tocsr(), M[free], count, lift, M, seed, tol)
     warm = None
     if start is not None and start.factor is not None:
+        if below is not None:
+            bounded = _ritz_bound(K, M, start, count + 1, below)
+            if bounded is not None:
+                return bounded
         warm = (start.vectors, start.factor)
     vals, vecs, factor = solve_generalized(K, M, count + 1, tol=tol, seed=seed, start=warm)
     return Spectrum(vals, vecs, M, "laplace", n_zero=_zero_count(vals, vals[-1]), factor=factor)
+
+
+def _ritz_bound(K, M, start, count, below):
+    """Ritz pairs of the first count start vectors under K, M, or None.
+
+    None unless the Ritz value at index start.n_zero is below the floor and
+    the start block is well conditioned under the mass M.
+    """
+    X = start.vectors[:, :count]
+    if X.shape[1] < count:
+        return None
+    G = X.T @ (M[:, None] * X)
+    # also false when G is not positive definite, so its Cholesky would fail
+    gram = np.linalg.eigvalsh(G)
+    if not gram[0] * RITZ_MAX_CONDITION > gram[-1]:
+        return None
+    vals, C = scipy.linalg.eigh(X.T @ (K @ X), G)
+    value = float(vals[start.n_zero])
+    if not value < below:
+        return None
+    log.debug(
+        "Rayleigh-Ritz bound of %d eigenpairs, n=%d: value %.12g below floor %.12g",
+        count, len(M), value, below,
+    )
+    return Spectrum(vals, X @ C, M, "laplace", n_zero=start.n_zero, bounded=True)
 
 
 def restricted_spectrum(K, M, count, lift, mesh_mass, seed=0, tol=1e-9):

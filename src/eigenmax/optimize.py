@@ -26,6 +26,9 @@ from .meshcore import weighted_area
 
 DENSITY_FLOOR = 1e-6
 LINE_SEARCH_DROP = 1e-10
+# a trial solve stops at a Rayleigh-Ritz bound only when the bound is this
+# far (relative to the objective scale) below the acceptance threshold
+BOUND_MARGIN = 1e-10
 
 log = logging.getLogger(__name__)
 
@@ -168,9 +171,9 @@ def ascent_weights(lams, U, measure, total):
     return np.maximum(res.x[:m], 0.0)
 
 
-def _solve(mesh, kind, count, seed, start=None):
+def _solve(mesh, kind, count, seed, start=None, below=None):
     if kind == "laplace":
-        return fem.laplace_spectrum(mesh, count=count, seed=seed, start=start)
+        return fem.laplace_spectrum(mesh, count=count, seed=seed, start=start, below=below)
     return fem.steklov_spectrum(mesh, count=count)
 
 
@@ -212,7 +215,14 @@ def maximize(
     seed=0,
     count=8,
 ):
-    """Ascend the normalized first eigenvalue over invariant conformal densities."""
+    """Ascend the normalized first eigenvalue over invariant conformal densities.
+
+    Each line-search trial is warm-started from the iterate's spectrum with
+    the trial's acceptance threshold as a floor (fem.laplace_spectrum(below=)):
+    a trial whose Rayleigh-Ritz bound is already below it is rejected without
+    an eigensolve, and its spectrum holds upper bounds, not eigenvalues.
+    Every trial still makes one fem.laplace_spectrum call.
+    """
     rho = average_invariant(mesh.density, mesh)
     mesh = mesh.with_density(rho)
     bound = guard_bound(mesh)
@@ -260,7 +270,7 @@ def maximize(
         candidates.append(("replace", w))
         accepted = None
         move = "stalled"
-        trials = 0
+        trials = bounded = 0
         for mode, w_try in candidates:
             F_try = (U**2) @ w_try
             c_try = float(
@@ -302,18 +312,19 @@ def maximize(
                 except Exception:
                     t /= 2
                     continue
+                # accept real progress; tolerate a sub-roundoff drop only for
+                # the full step (guards against cluster reordering)
+                least = -LINE_SEARCH_DROP * scale if t == 1.0 else 1e-11 * scale
+                below = (value + least - BOUND_MARGIN * scale) / trial.area()
                 # warm-started from this iterate's spectrum and factorization
-                tspec = _solve(trial, kind, max(4, j - i + 2), seed, start=spec)
+                tspec = _solve(trial, kind, max(4, j - i + 2), seed, start=spec, below=below)
                 trials += 1
+                bounded += tspec.bounded
                 tvalue = fem.normalized_first(trial, kind, tspec)
                 # a warm solve that fell back to a fresh one carries its factorization
                 fem.release_factor(tspec)
                 gain = tvalue - value
-                # accept real progress; tolerate a sub-roundoff drop only for
-                # the full step (guards against cluster reordering)
-                if gain > 1e-11 * scale or (
-                    t == 1.0 and gain >= -LINE_SEARCH_DROP * scale
-                ):
+                if gain > least or (t == 1.0 and gain >= least):
                     accepted = (trial, rho_t, tvalue)
                     move = f"accepted {mode} at t={t:g}"
                     break
@@ -323,8 +334,9 @@ def maximize(
         # the factorization served this iteration's trials; free it before the next
         fem.release_factor(spec)
         log.debug(
-            "iteration %d: objective %.12g, residual %.3g, cluster [%d, %d), %s, %d trial solves",
-            it, value, residual, i, j, move, trials,
+            "iteration %d: objective %.12g, residual %.3g, cluster [%d, %d), %s, "
+            "%d trial solves, %d stopped at the Rayleigh-Ritz bound",
+            it, value, residual, i, j, move, trials, bounded,
         )
         if accepted is None:
             flag = "stalled-below-tolerance"

@@ -105,6 +105,14 @@ def test_spectrum_mixed_cylinder(capsys):
     assert sigma1 == pytest.approx(np.tanh(1.0), rel=1e-2)
 
 
+def test_spectrum_of_a_thin_builtin_torus(capsys):
+    assert run(["spectrum", "builtin:torus:a=0.2", "--resolution", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["vertices"] == 2 * 8 * 3
+    # lambda_1 = (2 pi)^2 along the unit period, times the area 0.2
+    assert out["normalized_first"] == pytest.approx(0.2 * 4 * np.pi**2, rel=2e-2)
+
+
 def test_spectrum_count_error(capsys):
     assert run(["spectrum", "builtin:disk", "--count", "0"]) == 1
 

@@ -293,6 +293,44 @@ def test_failed_warm_start_falls_back_to_a_fresh_solve(monkeypatch, caplog, fail
     assert np.array_equal(warm.eigenvalues, fresh.eigenvalues)
 
 
+def test_floor_stops_a_warm_solve_exactly_when_the_eigenvalue_is_below_it(caplog):
+    import eigenmax.fem as fem
+
+    start = laplace_spectrum(_bumped_sphere(1.0), count=8)
+    mesh = _bumped_sphere(3.0)
+    fresh = laplace_spectrum(mesh, 6)
+    warm = laplace_spectrum(mesh, 6, start=start)
+    lam = fresh.first_nonzero()
+    assert laplace_spectrum(mesh, 6, start=start, below=None).eigenvalues.tobytes() == warm.eigenvalues.tobytes()
+    paths = []
+    for floor in (lam * (1 - 1e-6), lam * (1 + 1e-6), 1.5 * lam):
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="eigenmax.fem"):
+            spec = laplace_spectrum(mesh, 6, start=start, below=floor)
+        assert (spec.first_nonzero() < floor) == (lam < floor)
+        assert spec.factor is None and spec.n_zero == 1
+        # every value is an upper bound of the fresh eigenvalue of its index
+        assert np.all(spec.eigenvalues[1:] >= fresh.eigenvalues[1:] * (1 - 1e-12))
+        logged = any(r.getMessage().startswith("Rayleigh-Ritz bound") for r in caplog.records)
+        assert logged == spec.bounded
+        if spec.bounded:
+            M = spec.mass
+            assert np.allclose(spec.vectors.T @ (M[:, None] * spec.vectors), np.eye(7), atol=1e-8)
+        else:  # the check leaves the warm solve as it is without a floor
+            assert spec.eigenvalues.tobytes() == warm.eigenvalues.tobytes()
+            assert spec.vectors.tobytes() == warm.vectors.tobytes()
+        paths.append(spec.bounded)
+    assert paths == [False, False, True]
+    # a start block that is singular under the trial mass gets no bound
+    X = start.vectors.copy()
+    X[:, 3] = X[:, 2]
+    singular = fem.Spectrum(start.eigenvalues, X, start.mass, "laplace", n_zero=1, factor=start.factor)
+    spec = laplace_spectrum(mesh, 6, start=singular, below=1.5 * lam)
+    assert not spec.bounded
+    assert spec.first_nonzero() == pytest.approx(lam, rel=1e-10)
+    fem.release_factor(spec)
+
+
 # -- the measures computed by one kernel each, against the loops they replaced
 
 

@@ -58,6 +58,15 @@ def test_torus_basic():
     assert mesh.check_action("sx") and mesh.check_action("sy")
 
 
+def test_thin_torus_has_three_rows_of_cells():
+    # round(8 * 0.2) = 2 rows would make each vertical edge a side of four triangles
+    mesh = flat_torus(0, 0.2)
+    assert mesh.n_vertices == 2 * 8 * 3
+    assert mesh.euler_characteristic() == 0 and not mesh.has_boundary()
+    assert mesh.area() == pytest.approx(0.2, rel=1e-12)
+    assert mesh.check_action("sx") and mesh.check_action("sy")
+
+
 def test_disk_basic():
     mesh = unit_disk(2)
     assert mesh.euler_characteristic() == 1
@@ -282,7 +291,7 @@ def _reference_sphere(level):
 
 def _reference_torus(level, aspect):
     m = 8 * 2**level
-    my = max(2, round(m * aspect))
+    my = max(3, round(m * aspect))
     corner = lambda i, j: (i % m) * my + (j % my)
     center = lambda i, j: m * my + (i % m) * my + (j % my)
     cells = [(corner(i, j), corner(i + 1, j), corner(i + 1, j + 1), corner(i, j + 1), center(i, j))

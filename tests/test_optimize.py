@@ -223,19 +223,24 @@ def test_warm_started_trials_match_fresh_solves(monkeypatch, capsys):
         assert mesh.n_vertices > 600  # above the dense cutoff
         warm_calls, trial_spectra = [], []
 
-        def checked(trial, count=8, seed=0, start=None, **kwargs):
-            spec = solve(trial, count, seed=seed, start=start, **kwargs)
+        def checked(trial, count=8, seed=0, start=None, below=None, **kwargs):
+            spec = solve(trial, count, seed=seed, start=start, below=below, **kwargs)
             if start is not None:
-                assert start.factor is not None
+                assert start.factor is not None and below is not None
                 trial_spectra.append(spec)
-                if whole:  # where a warm solve fails, the fresh one returns its factor
-                    assert spec.factor is None
-                    fresh = solve(trial, count, seed=seed)
-                    assert np.allclose(spec.eigenvalues[1:], fresh.eigenvalues[1:], rtol=1e-10, atol=0)
-                # the first nonzero eigenvalue of every trial is the one a
-                # fresh solve of the ascent's full count finds
-                full = solve(trial, 8, seed=seed)
-                assert spec.first_nonzero() == pytest.approx(full.first_nonzero(), rel=1e-10)
+                # the first nonzero eigenvalue a fresh solve of the ascent's
+                # full count finds
+                full = solve(trial, 8, seed=seed).first_nonzero()
+                if spec.first_nonzero() < below:
+                    # rejected as a fresh solve would be: the returned value
+                    # is an upper bound of it, below the floor
+                    assert full * (1 - 1e-12) <= spec.first_nonzero() < below
+                else:
+                    assert spec.first_nonzero() == pytest.approx(full, rel=1e-10)
+                    if whole:  # where a warm solve fails, the fresh one returns its factor
+                        assert spec.factor is None
+                        fresh = solve(trial, count, seed=seed)
+                        assert np.allclose(spec.eigenvalues[1:], fresh.eigenvalues[1:], rtol=1e-10, atol=0)
                 warm_calls.append(count)
             return spec
 
@@ -247,3 +252,49 @@ def test_warm_started_trials_match_fresh_solves(monkeypatch, capsys):
         assert spec.factor is None
         assert all(trial.factor is None for trial in trial_spectra)
         assert capsys.readouterr() == ("", "")
+
+
+def _genus_two_mesh():
+    genus_two = closed_surface(make_group("onestar"), TypeB.make(f=1, e={0: 1}))
+    return build_mesh(genus_two, target_vertices=400)
+
+
+def test_trial_floors_leave_the_ascent_bitwise_unchanged(monkeypatch):
+    import eigenmax.fem as fem
+
+    mesh = _genus_two_mesh()
+    bounded, _, _ = maximize(mesh, "laplace", max_iters=4)
+    solve = fem.laplace_spectrum
+
+    def unbounded(trial, count=8, below=None, **kwargs):
+        return solve(trial, count, **kwargs)
+
+    monkeypatch.setattr(fem, "laplace_spectrum", unbounded)
+    plain, _, _ = maximize(mesh, "laplace", max_iters=4)
+    assert bounded.history == plain.history
+    assert bounded.objective == plain.objective
+    assert bounded.density.tobytes() == plain.density.tobytes()
+
+
+def test_every_trial_makes_one_laplace_spectrum_call(monkeypatch, caplog):
+    import re
+
+    import eigenmax.fem as fem
+
+    mesh = _genus_two_mesh()
+    solve = fem.laplace_spectrum
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("start") is not None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "laplace_spectrum", counted)
+    with caplog.at_level("DEBUG", logger="eigenmax.optimize"):
+        state, _, _ = maximize(mesh, "laplace", max_iters=4)
+    logged = [re.search(r"(\d+) trial solves, (\d+) stopped", r.getMessage()) for r in caplog.records]
+    trials = sum(int(m.group(1)) for m in logged if m)
+    stopped = sum(int(m.group(2)) for m in logged if m)
+    # the benchmark counts trial solves as calls beyond one per iteration
+    assert len(calls) == state.iterations + trials
+    assert sum(calls) == trials and 0 < stopped < trials
