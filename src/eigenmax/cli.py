@@ -179,6 +179,8 @@ def parse_mesh_source(arg, resolution, seed):
         obj = json.loads(path.read_text())
         if obj.get("format") == "eigenmax-mesh":
             return SymmetricMesh.from_json(obj)
+    if resolution is not None and resolution <= 0:
+        raise UsageError(f"--resolution must be positive, not {resolution}")
     return build_mesh(load_descriptor(arg), target_vertices=resolution or 2000, seed=seed)
 
 
@@ -326,6 +328,8 @@ def cmd_spectrum(args):
 
 
 def cmd_optimize(args):
+    if args.max_iters < 1:
+        raise UsageError(f"--max-iters must be at least 1, not {args.max_iters}")
     mesh = parse_mesh_source(args.input, args.resolution, args.seed)
     kind = "steklov" if args.kind == "steklov" else "laplace"
     if kind == "laplace" and mesh.has_boundary():
@@ -375,7 +379,7 @@ def cmd_optimize(args):
     dump_json(report)
     write_manifest(
         out,
-        {"command": "optimize", "input": args.input, "kind": args.kind,
+        {"command": "optimize", "input": args.input, "kind": kind,
          "resolution": args.resolution, "tol": args.tol,
          "max_iters": args.max_iters, "seed": args.seed},
         [args.input],

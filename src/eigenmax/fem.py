@@ -10,10 +10,8 @@ at the discrete level.
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import logging
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -27,13 +25,7 @@ from .meshcore import EquivariantError, _frozen, sector_basis
 DEFAULT_CLUSTER_TOL = 1e-3
 # pencils with at most this many unknowns are solved densely
 DENSE_CUTOFF = 600
-# LOBPCG of a warm-started solve stops at residuals |K u - lambda M u| below
-# WARM_RTOL * lambda * |M u| (lambda of the last start vector), ten times
-# inside the acceptance check; not converged after WARM_MAXITER iterations,
-# it gives way to a shift-invert solve
-WARM_RTOL = 1e-7
-WARM_MAXITER = 40
-# the Rayleigh-Ritz bound of a warm start is skipped when the start block's
+# the Rayleigh-Ritz bound of a start block is skipped when the block's
 # Gram matrix under the new mass is more ill-conditioned than this
 RITZ_MAX_CONDITION = 1e8
 
@@ -151,7 +143,6 @@ class Spectrum:
         kind,
         n_zero=0,
         cluster_tol=DEFAULT_CLUSTER_TOL,
-        factor=None,
         bounded=False,
     ):
         self.eigenvalues = eigenvalues
@@ -163,11 +154,8 @@ class Spectrum:
         self.kind = kind
         self.n_zero = n_zero
         self.cluster_tol = cluster_tol
-        # factorization of K - sigma*M made by the shift-invert solve of this
-        # spectrum; it preconditions warm-started solves of nearby densities
-        self.factor = factor
-        # the eigenvalues are Rayleigh-Ritz upper bounds of a warm start's
-        # block, not converged eigenvalues (laplace_spectrum(below=))
+        # the eigenvalues are Rayleigh-Ritz upper bounds of a start block,
+        # not converged eigenvalues (laplace_spectrum(below=))
         self.bounded = bounded
 
     @cached_property
@@ -239,37 +227,13 @@ def spd_factor(A):
     )
 
 
-def release_factor(spectrum):
-    """Free the factorization a spectrum carries and return its pages to the system.
-
-    SuperLU reserves several times the memory a factorization fills.  A
-    factorization that outlived later allocations is freed in the middle of
-    the heap, where glibc keeps every touched page of that reservation
-    resident; malloc_trim returns them, where the C library has it.
-    """
-    if spectrum.factor is None:
-        return
-    spectrum.factor = None
-    try:
-        ctypes.CDLL(None).malloc_trim(0)
-    except (AttributeError, OSError, TypeError):
-        pass
-
-
-def solve_generalized(K, M, count, tol=1e-9, seed=0, start=None):
+def solve_generalized(K, M, count, tol=1e-9, seed=0):
     """Lowest eigenpairs of K u = lambda M u, K sym PSD, M diagonal positive.
 
-    Returns (values, vectors, factor).  Up to DENSE_CUTOFF unknowns the pencil
-    is solved densely and factor is None.  Above it, shift-invert Lanczos
-    runs on the factorization of K - sigma*M (sigma < 0), which is returned
-    as factor.  start = (X, factor) of a nearby pencil, where X has at least
-    count columns, instead runs LOBPCG from the first count columns of X,
-    preconditioned by that factor, and returns no factor; if LOBPCG fails or
-    its residual is too large, the shift-invert solve is made after all and
-    its factor returned.  A warm solve is checked by residual only: its
-    eigenvalues above the lowest nonzero cluster can skip an eigenvalue of
-    the pencil.  Deterministic: the Lanczos starting vector is drawn from a
-    seeded generator.  count is clamped to the dimension.
+    Returns (values, vectors).  Up to DENSE_CUTOFF unknowns the pencil is
+    solved densely; above it, shift-invert Lanczos runs on the factorization
+    of K - sigma*M (sigma < 0).  Deterministic: the Lanczos starting vector
+    is drawn from a seeded generator.  count is clamped to the dimension.
     """
     n = K.shape[0]
     M = np.asarray(M)
@@ -280,15 +244,7 @@ def solve_generalized(K, M, count, tol=1e-9, seed=0, start=None):
         raise FemError("count must be >= 1")
     if n <= DENSE_CUTOFF or count > n - 2:
         vals, vecs = scipy.linalg.eigh(K.toarray(), np.diag(M))
-        vals, vecs = _accept(K, M, vals[:count], vecs[:, :count], tol, "dense")
-        return vals, vecs, None
-    path = "shift-invert"
-    if start is not None and start[0].shape[1] >= count:
-        try:
-            return _warm_solve(K, M, count, tol, *start)
-        except (ValueError, NoConvergence) as exc:  # LinAlgError is a ValueError
-            log.debug("warm solve failed (%s); solving afresh", exc)
-            path = "warm->fallback"
+        return _accept(K, M, vals[:count], vecs[:, :count], tol, "dense")
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     sigma = -1e-3 * K.diagonal().sum() / M.sum()
@@ -307,32 +263,7 @@ def solve_generalized(K, M, count, tol=1e-9, seed=0, start=None):
         )
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence(str(exc)) from exc
-    vals, vecs = _accept(K, M, vals, vecs, tol, path)
-    return vals, vecs, factor
-
-
-def _warm_solve(K, M, count, tol, X, factor):
-    """LOBPCG from the first count columns of X, preconditioned by factor."""
-    X = np.array(X[:, :count])
-    top = X[:, -1]
-    lam_top = float(top @ (K @ top)) / float(top @ (M * top))
-    precondition = spla.LinearOperator(
-        K.shape, matvec=factor.solve, matmat=factor.solve, dtype=float
-    )
-    with warnings.catch_warnings():
-        # an unconverged result is caught by the residual check below
-        warnings.simplefilter("ignore", UserWarning)
-        vals, vecs, history = spla.lobpcg(
-            K,
-            X,
-            B=sp.diags(M),
-            M=precondition,
-            tol=WARM_RTOL * lam_top * np.sqrt(np.mean(M)),
-            maxiter=WARM_MAXITER,
-            largest=False,
-            retResidualNormsHistory=True,
-        )
-    return (*_accept(K, M, vals, vecs, tol, f"warm, {len(history)} LOBPCG iterations"), None)
+    return _accept(K, M, vals, vecs, tol, "shift-invert")
 
 
 def _accept(K, M, vals, vecs, tol, path):
@@ -360,22 +291,18 @@ def _zero_count(vals, scale):
 def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start=None, below=None):
     """Laplace eigenvalues; zero mode included (and reported) unless Dirichlet.
 
-    start, a spectrum of the same mesh at a nearby density that carries its
-    factorization, warm-starts the solve from its vectors (no Dirichlet
-    panels).  The result carries no factorization unless the warm solve fails
-    and falls back to a fresh shift-invert solve, whose factorization it then
-    carries.  Warm-started eigenvalues are checked by residual only: those
-    above the first cluster can miss an eigenvalue of the pencil.  With
-    Dirichlet panels the pencil is restricted to the free vertices, and the
-    spectrum carries no factorization.
+    With Dirichlet panels the pencil is restricted to the free vertices.
 
-    below, a floor for the first nonzero eigenvalue of a warm solve: when the
-    Rayleigh-Ritz value of the start block X at index start.n_zero, from
-    X^T K X c = theta X^T M X c, is already below it, those Ritz pairs are
-    returned (bounded=True, n_zero=start.n_zero) and no eigensolve runs.  By
-    Courant-Fischer each Ritz value is an upper bound of the eigenvalue of the
-    same index, so the first nonzero eigenvalue is certainly below the floor
-    too; the returned values are bounds, not eigenvalues.
+    start, an (n_vertices, k) block of vectors such as the lowest
+    eigenvectors at a nearby density, and below, a floor for the first
+    nonzero eigenvalue, may stop the solve (no Dirichlet panels): the Ritz
+    pairs of the block, from X^T K X c = theta X^T M X c, are returned
+    (bounded=True) when the Ritz value at the first nonzero index is already
+    below the floor.  By Courant-Fischer each Ritz value is an upper bound of
+    the eigenvalue of the same index, so the first nonzero eigenvalue is
+    certainly below the floor too; the returned values are bounds, not
+    eigenvalues.  Otherwise the result is the same solve as without start
+    and below.
     """
     K = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
@@ -384,40 +311,34 @@ def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start
         free = np.flatnonzero(on_free)
         lift = partial(_embed, index=free, n=mesh.n_vertices)
         return restricted_spectrum(K[free][:, free].tocsr(), M[free], count, lift, M, seed, tol)
-    warm = None
-    if start is not None and start.factor is not None:
-        if below is not None:
-            bounded = _ritz_bound(K, M, start, count + 1, below)
-            if bounded is not None:
-                return bounded
-        warm = (start.vectors, start.factor)
-    vals, vecs, factor = solve_generalized(K, M, count + 1, tol=tol, seed=seed, start=warm)
-    return Spectrum(vals, vecs, M, "laplace", n_zero=_zero_count(vals, vals[-1]), factor=factor)
+    if start is not None and below is not None:
+        bounded = _ritz_bound(K, M, start, below)
+        if bounded is not None:
+            return bounded
+    vals, vecs = solve_generalized(K, M, count + 1, tol=tol, seed=seed)
+    return Spectrum(vals, vecs, M, "laplace", n_zero=_zero_count(vals, vals[-1]))
 
 
-def _ritz_bound(K, M, start, count, below):
-    """Ritz pairs of the first count start vectors under K, M, or None.
+def _ritz_bound(K, M, X, below):
+    """Ritz pairs of the block X under K, M, or None.
 
-    None unless the Ritz value at index start.n_zero is below the floor and
-    the start block is well conditioned under the mass M.
+    None unless the Ritz value at the first nonzero index is below the floor
+    and X is well conditioned under the mass M.
     """
-    X = start.vectors[:, :count]
-    if X.shape[1] < count:
-        return None
     G = X.T @ (M[:, None] * X)
     # also false when G is not positive definite, so its Cholesky would fail
     gram = np.linalg.eigvalsh(G)
     if not gram[0] * RITZ_MAX_CONDITION > gram[-1]:
         return None
     vals, C = scipy.linalg.eigh(X.T @ (K @ X), G)
-    value = float(vals[start.n_zero])
-    if not value < below:
+    n_zero = _zero_count(vals, vals[-1])
+    if not vals[n_zero] < below:
         return None
     log.debug(
         "Rayleigh-Ritz bound of %d eigenpairs, n=%d: value %.12g below floor %.12g",
-        count, len(M), value, below,
+        len(vals), len(M), vals[n_zero], below,
     )
-    return Spectrum(vals, X @ C, M, "laplace", n_zero=start.n_zero, bounded=True)
+    return Spectrum(vals, X @ C, M, "laplace", n_zero=n_zero, bounded=True)
 
 
 def restricted_spectrum(K, M, count, lift, mesh_mass, seed=0, tol=1e-9):
@@ -427,7 +348,7 @@ def restricted_spectrum(K, M, count, lift, mesh_mass, seed=0, tol=1e-9):
     lift maps a block of coordinate vectors to mesh vectors, and mesh_mass is
     the mesh mass reported with them.
     """
-    vals, vecs, _ = solve_generalized(K, M, count, tol=tol, seed=seed)
+    vals, vecs = solve_generalized(K, M, count, tol=tol, seed=seed)
     return Spectrum(vals, lift(vecs), mesh_mass, "laplace", n_zero=_zero_count(vals, vals[-1]))
 
 

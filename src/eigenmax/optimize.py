@@ -217,24 +217,25 @@ def maximize(
 ):
     """Ascend the normalized first eigenvalue over invariant conformal densities.
 
-    Each line-search trial is warm-started from the iterate's spectrum with
-    the trial's acceptance threshold as a floor (fem.laplace_spectrum(below=)):
-    a trial whose Rayleigh-Ritz bound is already below it is rejected without
-    an eigensolve, and its spectrum holds upper bounds, not eigenvalues.
-    Every trial still makes one fem.laplace_spectrum call.
+    Each Laplace line-search trial passes the iterate's lowest eigenvectors
+    as a start block and the trial's acceptance threshold as a floor
+    (fem.laplace_spectrum(start=, below=)): a trial whose Rayleigh-Ritz bound
+    is already below it is rejected without an eigensolve, and its spectrum
+    holds upper bounds, not eigenvalues.  Any other trial gets the same solve
+    an iterate gets, and an accepted trial's spectrum is the next iterate's,
+    so only the first iterate is solved outside a trial.
     """
+    if max_iters < 1:
+        raise OptimizeError(f"max_iters must be at least 1, not {max_iters}")
     rho = average_invariant(mesh.density, mesh)
     mesh = mesh.with_density(rho)
     bound = guard_bound(mesh)
     history = []
-    best = None
     window = 0.3
     flag = ""
     converged = False
-    it = 0
-    w = np.array([1.0])
+    spec = _solve(mesh, kind, count, seed)
     for it in range(1, max_iters + 1):
-        spec = _solve(mesh, kind, count, seed)
         value = fem.normalized_first(mesh, kind, spec)
         if bound is not None and value >= bound:
             raise GuardViolation(
@@ -268,6 +269,8 @@ def maximize(
         if not np.allclose(w_asc, w, atol=1e-6):
             candidates.append(("mult", w_asc))
         candidates.append(("replace", w))
+        # the block the Rayleigh-Ritz bound of a Laplace trial reads
+        start = spec.vectors[:, : max(4, j - i + 2) + 1]
         accepted = None
         move = "stalled"
         trials = bounded = 0
@@ -316,23 +319,18 @@ def maximize(
                 # the full step (guards against cluster reordering)
                 least = -LINE_SEARCH_DROP * scale if t == 1.0 else 1e-11 * scale
                 below = (value + least - BOUND_MARGIN * scale) / trial.area()
-                # warm-started from this iterate's spectrum and factorization
-                tspec = _solve(trial, kind, max(4, j - i + 2), seed, start=spec, below=below)
+                tspec = _solve(trial, kind, count, seed, start=start, below=below)
                 trials += 1
                 bounded += tspec.bounded
                 tvalue = fem.normalized_first(trial, kind, tspec)
-                # a warm solve that fell back to a fresh one carries its factorization
-                fem.release_factor(tspec)
                 gain = tvalue - value
                 if gain > least or (t == 1.0 and gain >= least):
-                    accepted = (trial, rho_t, tvalue)
+                    accepted = (trial, rho_t, tspec)
                     move = f"accepted {mode} at t={t:g}"
                     break
                 t /= 2
             if accepted is not None:
                 break
-        # the factorization served this iteration's trials; free it before the next
-        fem.release_factor(spec)
         log.debug(
             "iteration %d: objective %.12g, residual %.3g, cluster [%d, %d), %s, "
             "%d trial solves, %d stopped at the Rayleigh-Ritz bound",
@@ -341,10 +339,9 @@ def maximize(
         if accepted is None:
             flag = "stalled-below-tolerance"
             break
-        mesh, rho, value = accepted
+        mesh, rho, spec = accepted
         window = min(0.3, max(cluster_tol, residual))
     mesh, value, residual, spec, (i, j), w = best
-    fem.release_factor(spec)
     # multiplicities are only resolved to the achieved extremality residual:
     # cluster at a tolerance matched to it (never below the solver tolerance)
     spec.cluster_tol = max(cluster_tol, 2.0 * residual)

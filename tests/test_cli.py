@@ -140,6 +140,46 @@ def test_builtin_sources_are_checked_before_any_mesh_is_built(tmp_path, monkeypa
         assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
 
 
+def test_nonpositive_descriptor_resolutions_are_usage_errors(monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError(f"built mesh {args} {kwargs}")
+
+    monkeypatch.setattr(cli, "build_mesh", build)
+    for argv in (["spectrum", "M(1)", "--resolution", "0"],
+                 ["spectrum", "M(1)", "--resolution", "-5"],
+                 ["optimize", "M(1)", "--resolution", "0"]):
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: --resolution must be positive") and len(err.splitlines()) == 1
+
+
+def test_max_iters_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    from eigenmax.optimize import OptimizeError, maximize
+
+    def build(*args, **kwargs):
+        raise AssertionError(f"built mesh {args} {kwargs}")
+
+    monkeypatch.setattr(cli, "build_mesh", build)
+    for iters in ("0", "-2"):
+        assert run(["optimize", "M(1)", "--max-iters", iters, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --max-iters must be at least 1") and len(err.splitlines()) == 1
+    with pytest.raises(OptimizeError, match="max_iters"):
+        maximize(round_sphere(0), max_iters=0)
+
+
+def test_manifest_records_the_kind_solved(tmp_path, capsys):
+    # a surface with boundary is solved as Steklov under the default --kind
+    for source, kind in (("N_tau(Trivial,1)", "steklov"), ("M(1)", "laplace")):
+        out = tmp_path / kind
+        assert run(["optimize", source, "--resolution", "500", "--max-iters", "1",
+                    "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert report["kind"] == manifest["config"]["kind"] == kind
+    capsys.readouterr()
+
+
 def test_unknown_boundary_condition_labels_are_a_validation_failure(capsys):
     assert run(["spectrum", "builtin:cylinder:L=1", "--kind", "mixed",
                 "--bc", "enx0=dirichlet", "--resolution", "1"]) == 2

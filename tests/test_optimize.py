@@ -209,54 +209,69 @@ def test_warm_started_trials_match_fresh_solves(monkeypatch, capsys):
     import eigenmax.fem as fem
 
     genus_two = closed_surface(make_group("onestar"), TypeB.make(f=1, e={0: 1}))
-    # a surface on whose trials an eigenvalue from above the warm start's
-    # block crosses below the cluster: trial blocks of the cluster plus one
-    # guard vector miss it and accept a false move (34.96 fell to 25.19 in 30
-    # iterations at resolution 2000); 1368 vertices, the coarsest mesh this
-    # descriptor builds.  Its warm trials may still miss an eigenvalue above
-    # the cluster or fall back to a fresh solve, so only genus two is held to
-    # the whole trial spectrum.
+    # a surface on whose trials an eigenvalue from above the iterate's lowest
+    # eigenvectors crosses below the cluster: LOBPCG from a block of the
+    # cluster plus one guard vector missed it and accepted a false move (34.96
+    # fell to 25.19 in 30 iterations at resolution 2000); 1368 vertices, the
+    # coarsest mesh this descriptor builds
     crossing = closed_surface(make_group("dihedral", (3,)), TypeB.make(v={(0, 1): 2}))
     solve = fem.laplace_spectrum
-    for descriptor, iterations, whole in ((genus_two, 3, True), (crossing, 2, False)):
+    for descriptor, iterations in ((genus_two, 3), (crossing, 2)):
         mesh = build_mesh(descriptor, target_vertices=400)
         assert mesh.n_vertices > 600  # above the dense cutoff
-        warm_calls, trial_spectra = [], []
+        bounded, solved = [], []
 
         def checked(trial, count=8, seed=0, start=None, below=None, **kwargs):
             spec = solve(trial, count, seed=seed, start=start, below=below, **kwargs)
             if start is not None:
-                assert start.factor is not None and below is not None
-                trial_spectra.append(spec)
-                # the first nonzero eigenvalue a fresh solve of the ascent's
-                # full count finds
-                full = solve(trial, 8, seed=seed).first_nonzero()
-                if spec.first_nonzero() < below:
-                    # rejected as a fresh solve would be: the returned value
+                assert below is not None
+                # the solve an iterate of this density gets
+                fresh = solve(trial, 8, seed=seed)
+                if spec.bounded:
+                    # rejected as the fresh solve would be: the returned value
                     # is an upper bound of it, below the floor
-                    assert full * (1 - 1e-12) <= spec.first_nonzero() < below
+                    assert fresh.first_nonzero() * (1 - 1e-12) <= spec.first_nonzero() < below
+                    bounded.append(spec)
                 else:
-                    assert spec.first_nonzero() == pytest.approx(full, rel=1e-10)
-                    if whole:  # where a warm solve fails, the fresh one returns its factor
-                        assert spec.factor is None
-                        fresh = solve(trial, count, seed=seed)
-                        assert np.allclose(spec.eigenvalues[1:], fresh.eigenvalues[1:], rtol=1e-10, atol=0)
-                warm_calls.append(count)
+                    assert spec.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+                    assert spec.vectors.tobytes() == fresh.vectors.tobytes()
+                    solved.append(spec)
             return spec
 
         monkeypatch.setattr(fem, "laplace_spectrum", checked)
         state, _, spec = maximize(mesh, "laplace", max_iters=iterations)
-        assert state.iterations == iterations and warm_calls
-        # no factorization leaves the ascent, not even that of a trial whose
-        # warm solve fell back to a fresh one, and nothing is printed by default
-        assert spec.factor is None
-        assert all(trial.factor is None for trial in trial_spectra)
+        assert state.iterations == iterations and bounded and solved
+        # nothing is printed by default
         assert capsys.readouterr() == ("", "")
 
 
 def _genus_two_mesh():
     genus_two = closed_surface(make_group("onestar"), TypeB.make(f=1, e={0: 1}))
     return build_mesh(genus_two, target_vertices=400)
+
+
+def test_an_accepted_trial_spectrum_is_the_next_iterate(monkeypatch):
+    import eigenmax.fem as fem
+
+    mesh = _genus_two_mesh()
+    solve = fem.laplace_spectrum
+    trials = []
+
+    def recorded(trial, count=8, seed=0, start=None, **kwargs):
+        spec = solve(trial, count, seed=seed, start=start, **kwargs)
+        if start is not None:
+            trials.append(spec)
+        return spec
+
+    monkeypatch.setattr(fem, "laplace_spectrum", recorded)
+    state, final, spec = maximize(mesh, "laplace", max_iters=3)
+    assert state.iterations == 3
+    # the last iterate's spectrum is the one its accepted trial solved, not a new solve
+    assert any(spec is trial for trial in trials)
+    fresh = solve(final, 8, seed=0)
+    assert spec.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+    assert spec.vectors.tobytes() == fresh.vectors.tobytes()
+    assert state.objective == fem.normalized_first(final, "laplace", fresh)
 
 
 def test_trial_floors_leave_the_ascent_bitwise_unchanged(monkeypatch):
@@ -295,6 +310,6 @@ def test_every_trial_makes_one_laplace_spectrum_call(monkeypatch, caplog):
     logged = [re.search(r"(\d+) trial solves, (\d+) stopped", r.getMessage()) for r in caplog.records]
     trials = sum(int(m.group(1)) for m in logged if m)
     stopped = sum(int(m.group(2)) for m in logged if m)
-    # the benchmark counts trial solves as calls beyond one per iteration
-    assert len(calls) == state.iterations + trials
+    # the first iterate is the only solve outside a trial
+    assert len(calls) == 1 + trials
     assert sum(calls) == trials and 0 < stopped < trials
