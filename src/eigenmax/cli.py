@@ -299,16 +299,11 @@ def cmd_spectrum(args):
         if not bc:
             raise UsageError("--kind mixed needs a --bc map")
         spec = fem.mixed_spectrum(mesh, bc, count=count, seed=args.seed)
-        kind_for_norm = "steklov" if "steklov" in bc.values() else "laplace"
-    elif args.kind == "steklov":
-        spec = fem.steklov_spectrum(mesh, count=count)
-        kind_for_norm = "steklov"
     else:
-        spec = fem.laplace_spectrum(mesh, count=count, seed=args.seed)
-        kind_for_norm = "laplace"
+        spec = fem.PROBLEMS[args.kind].solve(mesh, count, args.seed)
     report = spec.to_json()
     try:
-        report["normalized_first"] = fem.normalized_first(mesh, kind_for_norm, spec)
+        report["normalized_first"] = fem.normalized_first(mesh, spec.kind, spec)
     except fem.FemError:
         report["normalized_first"] = None
     report["vertices"] = mesh.n_vertices
@@ -331,15 +326,9 @@ def cmd_optimize(args):
     if args.max_iters < 1:
         raise UsageError(f"--max-iters must be at least 1, not {args.max_iters}")
     mesh = parse_mesh_source(args.input, args.resolution, args.seed)
-    kind = "steklov" if args.kind == "steklov" else "laplace"
-    if kind == "laplace" and mesh.has_boundary():
-        kind = "steklov"
+    kind = fem.problem_of(mesh).kind
     state, final_mesh, spec = maximize(
-        mesh,
-        kind,
-        max_iters=args.max_iters,
-        residual_tol=args.tol,
-        seed=args.seed,
+        mesh, max_iters=args.max_iters, residual_tol=args.tol, seed=args.seed
     )
     out = _outdir(args)
     mesh_path = out / "mesh.json"
@@ -373,7 +362,7 @@ def cmd_optimize(args):
     )
     if "descriptor" in final_mesh.meta:
         desc = descriptor_from_json(final_mesh.meta["descriptor"])
-        report["gap"] = gap_report(desc, state.objective, kind=kind)
+        report["gap"] = gap_report(desc, state.objective)
     report_path = out / "report.json"
     dump_json(report, report_path)
     dump_json(report)
@@ -425,8 +414,7 @@ def cmd_verify(args):
             check(f"action-isometry:{name}", mesh.check_action(name))
         if "chambers" in mesh.meta:
             check("action-orbits", *_triangle_orbits(mesh, mesh.meta["chambers"]))
-        kind = "steklov" if mesh.has_boundary() else "laplace"
-        value = fem.normalized_first(mesh, kind)
+        value = fem.normalized_first(mesh, fem.problem_of(mesh).kind)
         check(
             "objective-reproducible",
             abs(value - state["objective"]) < 1e-6 * max(1.0, abs(state["objective"])),
@@ -446,8 +434,13 @@ def cmd_verify(args):
 # Entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error (exit 1), not argparse's exit 2
+        raise UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eigenmax",
         description="Symmetric eigenvalue maximization on triangulated surfaces",
     )
@@ -477,7 +470,6 @@ def build_parser():
 
     p = sub.add_parser("optimize", help="maximize the normalized first eigenvalue")
     p.add_argument("input", help="descriptor string/JSON or builtin:<name>")
-    p.add_argument("--kind", choices=["laplace", "steklov"], default="laplace")
     p.add_argument("--resolution", type=int, default=4000)
     p.add_argument("--tol", type=float, default=0.005)
     p.add_argument("--max-iters", type=int, default=100, dest="max_iters")
@@ -494,9 +486,8 @@ def build_parser():
 def main(argv=None):
     level = os.environ.get("EIGENMAX_LOG", "warning").upper()
     logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

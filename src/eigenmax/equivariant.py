@@ -8,8 +8,6 @@ in meshcore, where fem's Steklov sector blocks use them too."""
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -69,20 +67,6 @@ def sector_spectrum(mesh, labels, kind="laplace", count=6, seed=0):
 def parity_split_spectrum(mesh, name, count=6, kind="laplace", seed=0):
     """(even, odd) spectra of the problem restricted to the +/- subspaces."""
     return tuple(sector_spectrum(mesh, {name: sign}, kind, count, seed) for sign in (1, -1))
-
-
-def labeled_spectra_json(mesh, names, kind="laplace", count=4, seed=0):
-    """All sign-sector first eigenvalues, keyed by sign strings like '++-'."""
-    out = {}
-    for signs in itertools.product((+1, -1), repeat=len(names)):
-        labels = dict(zip(names, signs))
-        spec = sector_spectrum(mesh, labels, kind, count=count, seed=seed)
-        key = "".join("+" if s > 0 else "-" for s in signs)
-        out[key] = {
-            "first": spec.first_nonzero(),
-            "eigenvalues": [float(v) for v in spec.eigenvalues],
-        }
-    return out
 
 
 def involution_parities(U, mass, perm):

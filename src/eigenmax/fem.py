@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -20,7 +21,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .meshcore import EquivariantError, _frozen, sector_basis
+from .meshcore import EquivariantError, _frozen, sector_basis, weighted_area
 
 DEFAULT_CLUSTER_TOL = 1e-3
 # pencils with at most this many unknowns are solved densely
@@ -583,18 +584,64 @@ def mixed_spectrum(mesh, bc, count=8, seed=0):
     return laplace_spectrum(mesh, count, dirichlet_panels=dirichlet, seed=seed)
 
 
+@dataclass(frozen=True)
+class Problem:
+    """One of the two problems of the ascent, and the one place where they differ.
+
+    The ascent moves the weight(rho) that the measure carries.  The functions
+    call fem functions by name at call time, so that one replaced on the
+    module (as the benchmark's timers do) is the one called.
+    """
+
+    kind: str
+    solve: Callable  # (mesh, count, seed, start, below) -> Spectrum
+    size: Callable  # mesh -> the factor of normalized_first
+    measure: Callable  # mesh -> lumped measure
+    weight: Callable  # rho -> weight
+    density: Callable  # weight -> rho
+    replace_profile: Callable  # (mesh, cluster vectors) -> their energy's weight profile
+    normalize: Callable  # (mesh, weight target) -> the target at its scale
+
+
+# area*lambda_1 on a closed surface: the measure is M = rho*M_ref, and the
+# weight is rho rescaled to the area
+LAPLACE = Problem(
+    "laplace",
+    solve=lambda mesh, count=8, seed=0, **bound: laplace_spectrum(mesh, count, seed=seed, **bound),
+    size=lambda mesh: mesh.area(),
+    measure=lambda mesh: assemble_mass(mesh),
+    weight=lambda rho: rho,
+    density=lambda weight: weight,
+    replace_profile=lambda mesh, U: dirichlet_energy_density(mesh, U),
+    normalize=lambda mesh, weight: weight * (mesh.area() / weighted_area(mesh, weight)),
+)
+# length*sigma_1 on a surface with boundary: the measure is B = sqrt(rho)*B_ref,
+# and the weight is sqrt(rho) (the interior density is irrelevant by conformal
+# invariance of the Dirichlet energy); a dense solve takes no seed, start or floor
+STEKLOV = Problem(
+    "steklov",
+    solve=lambda mesh, count=8, seed=0, **bound: steklov_spectrum(mesh, count),
+    size=lambda mesh: mesh.boundary_length(),
+    measure=lambda mesh: assemble_boundary_mass(mesh),
+    weight=lambda rho: np.sqrt(rho),
+    density=lambda weight: weight**2,
+    replace_profile=lambda mesh, U: _unit_mean_boundary_energy(mesh, U),
+    normalize=lambda mesh, weight: weight,
+)
+PROBLEMS = {problem.kind: problem for problem in (LAPLACE, STEKLOV)}
+
+
+def problem_of(mesh):
+    """The problem of a mesh: Steklov on a surface with boundary, else Laplace."""
+    return STEKLOV if mesh.has_boundary() else LAPLACE
+
+
 def normalized_first(mesh, kind="laplace", spectrum=None, count=8, seed=0):
     """Scale-invariant first eigenvalue: area*lambda_1 or length*sigma_1."""
+    problem = PROBLEMS[kind]
     if spectrum is None:
-        spectrum = (
-            laplace_spectrum(mesh, count, seed=seed)
-            if kind == "laplace"
-            else steklov_spectrum(mesh, count)
-        )
-    lam = spectrum.first_nonzero()
-    if kind == "laplace":
-        return mesh.area() * lam
-    return mesh.boundary_length() * lam
+        spectrum = problem.solve(mesh, count, seed)
+    return problem.size(mesh) * spectrum.first_nonzero()
 
 
 def dirichlet_energy_density(mesh, U):
@@ -627,6 +674,13 @@ def boundary_energy_density(mesh, U, panels=None):
     sel = weight > 0
     out[sel] /= weight[sel]
     return out, sel
+
+
+def _unit_mean_boundary_energy(mesh, U):
+    """The boundary energy density over its mean on the Steklov boundary, 1 off it."""
+    prof, bsel = boundary_energy_density(mesh, U)
+    mean_prof = float(np.mean(prof[bsel])) if np.any(bsel) else 1.0
+    return np.where(bsel, prof / max(mean_prof, 1e-300), 1.0)
 
 
 def harmonic_extension(mesh, boundary_values, panels=None):

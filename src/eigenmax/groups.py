@@ -147,13 +147,6 @@ def group_order(group):
     return n
 
 
-def subgroup_order(group, i, j):
-    """Order of the dihedral subgroup generated by generators i and j."""
-    if i == j:
-        raise BadIndex("need two distinct generators")
-    return 2 * group.relation_order(i, j)
-
-
 @dataclass(frozen=True)
 class OrthogonalAction:
     """Reflection matrices and fixed-plane unit normals for the generators."""

@@ -1,15 +1,17 @@
 """Maximization of the normalized first eigenvalue over invariant densities.
 
 Ascent loop: solve the spectrum, take the lowest cluster, choose nonnegative
-cluster weights flattening the pointwise sum of squares, multiply the density
+cluster weights flattening the pointwise sum of squares, multiply the weight
 by that flattened profile (group-averaged), and safeguard with a backtracking
 line search on the objective.  At a maximizer the flattened profile is
 constant, so the density is a fixed point and the extremality residual
 measures the distance from criticality.
 
-For Steklov problems only the boundary weight sqrt(rho) is updated; the
-interior density is irrelevant by conformal invariance of the Dirichlet
-energy.
+The problem comes from the mesh as a fem.Problem record: area*lambda_1 with
+the mass M and the weight rho on a closed surface, length*sigma_1 with the
+boundary mass B and the boundary weight sqrt(rho) on a surface with boundary
+(the interior density is irrelevant there by conformal invariance of the
+Dirichlet energy).  The ascent itself is one code path for both.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from scipy.optimize import minimize
 
 from . import fem
 from .equivariant import average_invariant
-from .meshcore import weighted_area
 
 DENSITY_FLOOR = 1e-6
 LINE_SEARCH_DROP = 1e-10
@@ -75,20 +76,19 @@ class OptimizationState:
 def eigenvalue_derivative(mesh, u, delta_rho, kind="laplace", eigenvalue=None):
     """First-order change of lambda_1 and of size*lambda_1 for a mass perturbation.
 
-    The size is the area (Laplace) or the boundary length (Steklov).  For
-    Steklov problems delta_rho perturbs the boundary weight sqrt(rho).
-    u must be a single mass-normalized eigenfunction (pass the cluster member
-    explicitly when the eigenvalue is degenerate).
+    The size and the measure are those of the kind's problem record
+    (fem.PROBLEMS), and delta_rho perturbs its weight: rho, or the boundary
+    weight sqrt(rho) for Steklov.  u must be a single mass-normalized
+    eigenfunction (pass the cluster member explicitly when the eigenvalue is
+    degenerate).
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ClusterAmbiguous("pass a single cluster member for degenerate eigenvalues")
     delta_rho = np.asarray(delta_rho, dtype=float)
-    if kind == "laplace":
-        measure, size = fem.assemble_mass(mesh) / mesh.density, mesh.area()
-    else:
-        measure = fem.assemble_boundary_mass(mesh) / np.sqrt(mesh.density)
-        size = mesh.boundary_length()
+    problem = fem.PROBLEMS[kind]
+    measure = problem.measure(mesh) / problem.weight(mesh.density)
+    size = problem.size(mesh)
     lam = eigenvalue
     if lam is None:
         K = fem.assemble_stiffness(mesh)
@@ -171,12 +171,6 @@ def ascent_weights(lams, U, measure, total):
     return np.maximum(res.x[:m], 0.0)
 
 
-def _solve(mesh, kind, count, seed, start=None, below=None):
-    if kind == "laplace":
-        return fem.laplace_spectrum(mesh, count=count, seed=seed, start=start, below=below)
-    return fem.steklov_spectrum(mesh, count=count)
-
-
 def _update_cluster(spectrum, window):
     """Eigenvalues within a relative window of the first nonzero one."""
     vals = spectrum.eigenvalues
@@ -208,7 +202,6 @@ def guard_bound(mesh):
 
 def maximize(
     mesh,
-    kind="laplace",
     max_iters=100,
     residual_tol=0.005,
     cluster_tol=fem.DEFAULT_CLUSTER_TOL,
@@ -217,16 +210,22 @@ def maximize(
 ):
     """Ascend the normalized first eigenvalue over invariant conformal densities.
 
-    Each Laplace line-search trial passes the iterate's lowest eigenvectors
-    as a start block and the trial's acceptance threshold as a floor
-    (fem.laplace_spectrum(start=, below=)): a trial whose Rayleigh-Ritz bound
-    is already below it is rejected without an eigensolve, and its spectrum
-    holds upper bounds, not eigenvalues.  Any other trial gets the same solve
-    an iterate gets, and an accepted trial's spectrum is the next iterate's,
-    so only the first iterate is solved outside a trial.
+    The mesh picks the problem record (fem.problem_of), whose measure weighs
+    the flattened profile and whose weight the moves update.  Each
+    line-search trial passes the iterate's lowest eigenvectors as a start
+    block and the trial's acceptance threshold as a floor
+    (fem.laplace_spectrum(start=, below=)): a Laplace trial whose
+    Rayleigh-Ritz bound is already below it is rejected without an
+    eigensolve, and its spectrum holds upper bounds, not eigenvalues.  Any
+    other trial gets the same solve an iterate gets, and an accepted trial's
+    spectrum is the next iterate's, so only the first iterate is solved
+    outside a trial.  A run that makes max_iters moves evaluates the iterate
+    the last one reached from its carried spectrum and returns it, flagged
+    "max-iters" unless it meets residual_tol.
     """
     if max_iters < 1:
         raise OptimizeError(f"max_iters must be at least 1, not {max_iters}")
+    problem = fem.problem_of(mesh)
     rho = average_invariant(mesh.density, mesh)
     mesh = mesh.with_density(rho)
     bound = guard_bound(mesh)
@@ -234,35 +233,34 @@ def maximize(
     window = 0.3
     flag = ""
     converged = False
-    spec = _solve(mesh, kind, count, seed)
-    for it in range(1, max_iters + 1):
-        value = fem.normalized_first(mesh, kind, spec)
+    spec = problem.solve(mesh, count, seed)
+    # the last pass evaluates the iterate the max_iters-th move reached
+    for it in range(1, max_iters + 2):
+        value = fem.normalized_first(mesh, problem.kind, spec)
         if bound is not None and value >= bound:
             raise GuardViolation(
-                f"{kind} objective {value:.6f} exceeds the a-priori bound {bound:.6f}; "
+                f"{problem.kind} objective {value:.6f} exceeds the a-priori bound {bound:.6f}; "
                 "the symmetry data of this mesh is inconsistent"
             )
         i, j = _update_cluster(spec, window)
         U = spec.vectors[:, i:j]
-        measure = (
-            fem.assemble_mass(mesh) if kind == "laplace" else fem.assemble_boundary_mass(mesh)
-        )
+        measure = problem.measure(mesh)
         sel = measure > 0
         w = flatten_weights((U[sel] ** 2), measure[sel])
         residual = _extremality(U, w, measure, sel)
         history.append((it, value, residual))
-        best = (mesh, value, residual, spec, (i, j), w)
-        if residual < residual_tol:
-            converged = True
+        if residual < residual_tol or it > max_iters:
+            converged = residual < residual_tol
+            flag = "" if converged else "max-iters"
             log.debug(
-                "iteration %d: objective %.12g, residual %.3g, cluster [%d, %d), converged",
-                it, value, residual, i, j,
+                "iteration %d: objective %.12g, residual %.3g, cluster [%d, %d), %s",
+                it, value, residual, i, j, "converged" if converged else flag,
             )
             break
-        # candidate updates, each guarded by the same line search:
-        #  1. multiply the density by the flattened squares profile;
+        # candidate updates of the weight, each guarded by the same line search:
+        #  1. multiply it by the flattened squares profile on the measure's support;
         #  2. same with eigenvalue-equalizing weights (split clusters);
-        #  3. replace the density by the cluster's reference energy density
+        #  3. replace it by the cluster's reference energy density profile
         #     (the only move that removes mesh-frequency density noise).
         candidates = [("mult", w)]
         w_asc = ascent_weights(spec.eigenvalues[i:j], U[sel], measure[sel], j - i)
@@ -271,6 +269,7 @@ def maximize(
         candidates.append(("replace", w))
         # the block the Rayleigh-Ritz bound of a Laplace trial reads
         start = spec.vectors[:, : max(4, j - i + 2) + 1]
+        weight = problem.weight(rho)
         accepted = None
         move = "stalled"
         trials = bounded = 0
@@ -281,28 +280,12 @@ def maximize(
             )
             if c_try <= 0:
                 continue
-            if kind == "laplace":
-                if mode == "mult":
-                    target = rho * (F_try / c_try)
-                else:
-                    target = fem.dirichlet_energy_density(mesh, U * np.sqrt(w_try))
-                target = average_invariant(target, mesh)
-                target *= mesh.area() / weighted_area(mesh, target)
-                target = np.maximum(target, DENSITY_FLOOR * float(np.mean(target)))
+            if mode == "mult":
+                target = weight * np.where(sel, F_try / c_try, 1.0)
             else:
-                beta = np.sqrt(rho)
-                if mode == "mult":
-                    scale = np.where(sel, F_try / c_try, 1.0)
-                    target_beta = beta * scale
-                else:
-                    prof, bsel = fem.boundary_energy_density(mesh, U * np.sqrt(w_try))
-                    mean_prof = float(np.mean(prof[bsel])) if np.any(bsel) else 1.0
-                    target_beta = np.where(bsel, prof / max(mean_prof, 1e-300), 1.0)
-                target_beta = average_invariant(target_beta, mesh)
-                target = (
-                    np.maximum(target_beta, DENSITY_FLOOR * float(np.mean(target_beta)))
-                    ** 2
-                )
+                target = problem.replace_profile(mesh, U * np.sqrt(w_try))
+            target = problem.normalize(mesh, average_invariant(target, mesh))
+            target = problem.density(np.maximum(target, DENSITY_FLOOR * float(np.mean(target))))
             scale = max(1.0, abs(value))
             moved = float(np.max(np.abs(target - rho))) > 1e-8 * float(np.mean(rho))
             if not moved:
@@ -318,11 +301,11 @@ def maximize(
                 # accept real progress; tolerate a sub-roundoff drop only for
                 # the full step (guards against cluster reordering)
                 least = -LINE_SEARCH_DROP * scale if t == 1.0 else 1e-11 * scale
-                below = (value + least - BOUND_MARGIN * scale) / trial.area()
-                tspec = _solve(trial, kind, count, seed, start=start, below=below)
+                below = (value + least - BOUND_MARGIN * scale) / problem.size(trial)
+                tspec = problem.solve(trial, count, seed, start=start, below=below)
                 trials += 1
                 bounded += tspec.bounded
-                tvalue = fem.normalized_first(trial, kind, tspec)
+                tvalue = fem.normalized_first(trial, problem.kind, tspec)
                 gain = tvalue - value
                 if gain > least or (t == 1.0 and gain >= least):
                     accepted = (trial, rho_t, tspec)
@@ -341,7 +324,6 @@ def maximize(
             break
         mesh, rho, spec = accepted
         window = min(0.3, max(cluster_tol, residual))
-    mesh, value, residual, spec, (i, j), w = best
     # multiplicities are only resolved to the achieved extremality residual:
     # cluster at a tolerance matched to it (never below the solver tolerance)
     spec.cluster_tol = max(cluster_tol, 2.0 * residual)
@@ -352,7 +334,7 @@ def maximize(
         residual=residual,
         cluster_dim=cj - ci,
         cluster_values=[float(v) for v in spec.eigenvalues[ci:cj]],
-        iterations=it,
+        iterations=min(it, max_iters),
         converged=converged,
         flag=flag,
         history=history,
@@ -361,7 +343,7 @@ def maximize(
     return state, mesh, spec
 
 
-def moduli_sweep(params, factory, kind="laplace", **options):
+def moduli_sweep(params, factory, **options):
     """maximize over a one-parameter family; returns per-parameter states and argmax.
 
     factory maps a parameter value to a mesh.
@@ -369,7 +351,7 @@ def moduli_sweep(params, factory, kind="laplace", **options):
     results = []
     for p in params:
         mesh = factory(p)
-        state, final_mesh, spec = maximize(mesh, kind, **options)
+        state, final_mesh, spec = maximize(mesh, **options)
         results.append({"parameter": float(p), "state": state})
     best = max(range(len(results)), key=lambda k: results[k]["state"].objective)
     return results, results[best]
@@ -404,22 +386,22 @@ def invariant_curve_flag(descriptor):
     return False
 
 
-def gap_report(descriptor, value, children=(), kind="laplace", margin=1e-3):
+def gap_report(descriptor, value, children=(), margin=1e-3):
     """Compare an optimized value against degeneration children and thresholds.
 
     children: list of (descriptor or label, value).  Verdicts are recomputed
     from the stored numbers; the report also carries the reference constants
-    relevant to the family.
+    relevant to the family: Laplace ones for a closed descriptor, Steklov
+    ones for a bounded descriptor.
     """
-    from .taxonomy import elementary_degenerations
+    from .taxonomy import double, elementary_degenerations
 
-    delta_or = invariant_curve_flag(
-        descriptor if descriptor.closed else _double_of(descriptor)
-    )
-    if kind == "laplace":
-        thresholds = {"sphere": SPHERE_MAX if delta_or else 0.0}
+    closed = descriptor.closed
+    delta_or = invariant_curve_flag(descriptor if closed else double(descriptor))
+    if closed:
+        kind, thresholds = "laplace", {"sphere": SPHERE_MAX if delta_or else 0.0}
     else:
-        thresholds = {"disk": DISK_MAX if delta_or else 0.0}
+        kind, thresholds = "steklov", {"disk": DISK_MAX if delta_or else 0.0}
     entries = []
     for child, cval in children:
         label = child.label() if hasattr(child, "label") else str(child)
@@ -452,18 +434,12 @@ def gap_report(descriptor, value, children=(), kind="laplace", margin=1e-3):
             if any(c.in_p_iota for c in e.collapsed)
         ],
     }
-    if kind == "laplace" and genus >= 1:
+    if closed and genus >= 1:
         report["clifford_torus"] = CLIFFORD
         report["exceeds_clifford"] = bool(value > CLIFFORD)
-    if kind == "laplace" and genus >= 2:
+    if closed and genus >= 2:
         # reference curve for the minimal-area family of the same genus
         report["lawson_area_bound"] = float(
             8 * np.pi * (1 - np.log(2) / (2 * genus))
         )
     return report
-
-
-def _double_of(descriptor):
-    from .taxonomy import double
-
-    return double(descriptor)

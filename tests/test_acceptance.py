@@ -79,7 +79,7 @@ def test_criterion_2_disk_steklov():
     expected = [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
     worst = max(abs(s - e) / e for s, e in zip(sig, expected))
     state, _, _ = maximize(
-        build_mesh(halve(sphere_family(1), "tau"), 2500), "steklov", max_iters=40
+        build_mesh(halve(sphere_family(1), "tau"), 2500), max_iters=40
     )
     rel = abs(state.objective - 2 * np.pi) / (2 * np.pi)
     ok = worst < 0.01 and rel < 0.01
@@ -177,7 +177,7 @@ def test_criterion_6_brs_guards():
     ok = True
     for label, desc, nv in CLOSED_RUNS:
         mesh = build_mesh(desc, nv)
-        state, final, spec = maximize(mesh, "laplace", max_iters=30)
+        state, final, spec = maximize(mesh, max_iters=30)
         every_iterate = all(v < 16 * np.pi for _, v, _ in state.history)
         ok &= every_iterate
         detail = f"{label}: lambda-bar {state.objective:.3f} < 16*pi at every iterate"
@@ -190,7 +190,7 @@ def test_criterion_6_brs_guards():
         lines.append(detail)
     for label, desc, nv in BOUNDED_RUNS:
         mesh = build_mesh(desc, nv)
-        state, final, spec = maximize(mesh, "steklov", max_iters=30)
+        state, final, spec = maximize(mesh, max_iters=30)
         every_iterate = all(v < 4 * np.pi for _, v, _ in state.history)
         ok &= every_iterate
         detail = f"{label}: sigma-bar {state.objective:.3f} < 4*pi at every iterate"
@@ -204,7 +204,7 @@ def test_criterion_6_brs_guards():
         lines.append(detail)
     # catenoid-modulus annulus with its waist reflection
     ann = conformal_annulus(CATENOID_T / np.pi, 1)
-    state, final, spec = maximize(ann, "steklov", max_iters=40)
+    state, final, spec = maximize(ann, max_iters=40)
     ok &= all(v < 4 * np.pi for _, v, _ in state.history)
     info = invariant_multiplicity(spec, final, "tau")
     ok &= state.cluster_dim <= 3 and info["even"] <= 2 and info["odd"] <= 1
@@ -386,7 +386,7 @@ def test_criterion_9_nodal_and_morse():
         details.append(f"{name} nodal domains {counts}")
     # tau-symmetric annulus optimum: two critical points on the waist oval
     ann = conformal_annulus(CATENOID_T / np.pi, 1)
-    state, final, spec = maximize(ann, "steklov", max_iters=40)
+    state, final, spec = maximize(ann, max_iters=40)
     emap = first_eigenmap(final, spec, tau="tau")
     even = [k for k, p in enumerate(emap.parity) if p > 0]
     morse = morse_count_check(emap.components[:, even[0]], final, "tau")
@@ -403,8 +403,8 @@ def test_criterion_9_nodal_and_morse():
 def test_criterion_10_gap_report_exploratory():
     desc = closed_surface(Z2, TypeB.make(f=1, e={0: 1}))
     mesh = build_mesh(desc, 2600)
-    state, final, spec = maximize(mesh, "laplace", max_iters=30)
-    rep = gap_report(desc, state.objective, kind="laplace")
+    state, final, spec = maximize(mesh, max_iters=30)
+    rep = gap_report(desc, state.objective)
     emitted = (
         "clifford_torus" in rep
         and "exceeds_clifford" in rep

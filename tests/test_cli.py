@@ -168,8 +168,21 @@ def test_max_iters_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys):
         maximize(round_sphere(0), max_iters=0)
 
 
+def test_argument_errors_are_usage_errors(tmp_path, capsys):
+    # optimize takes no --kind: the mesh says whether it is Laplace or Steklov
+    for argv in (["optimize", "M(1)", "--kind", "steklov", "--out", str(tmp_path)],
+                 ["spectrum", "M(1)", "--kind", "weird"], ["spectrum"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["optimize", "--help"])
+    assert exc.value.code == 0
+    assert "--kind" not in capsys.readouterr().out
+
+
 def test_manifest_records_the_kind_solved(tmp_path, capsys):
-    # a surface with boundary is solved as Steklov under the default --kind
+    # a surface with boundary is solved as Steklov, a closed one as Laplace
     for source, kind in (("N_tau(Trivial,1)", "steklov"), ("M(1)", "laplace")):
         out = tmp_path / kind
         assert run(["optimize", source, "--resolution", "500", "--max-iters", "1",
@@ -309,7 +322,7 @@ def test_verify_rejects_actions_that_do_not_generate_the_chamber_group(tmp_path,
 def test_determinism_of_reports(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        assert run(["optimize", "N_tau(Trivial,1)", "--kind", "steklov",
+        assert run(["optimize", "N_tau(Trivial,1)",
                     "--resolution", "500", "--out", str(out), "--seed", "7"]) == 0
     r1 = (out1 / "report.json").read_bytes()
     r2 = (out2 / "report.json").read_bytes()

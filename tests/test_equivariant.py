@@ -14,7 +14,6 @@ from eigenmax.equivariant import (
     NotInvolution,
     average_invariant,
     invariant_multiplicity,
-    labeled_spectra_json,
     parity_split_spectrum,
     sector_basis,
     sector_spectrum,
@@ -185,17 +184,6 @@ def test_invariant_multiplicity():
     sinfo = invariant_multiplicity(sspec, disk, "sy")
     assert sinfo["dim"] == 2
     assert sinfo["even"] == 1 and sinfo["odd"] == 1
-
-
-def test_labeled_spectra_json():
-    ann = conformal_annulus(0.5, 0)
-    out = labeled_spectra_json(ann, ["tau", "stheta"], kind="steklov", count=3)
-    assert set(out) == {"++", "+-", "-+", "--"}
-    full = steklov_spectrum(ann, count=6)
-    # the union of sector eigenvalues reproduces the low spectrum
-    merged = sorted(v for sector in out.values() for v in sector["eigenvalues"])
-    for a, b in zip(merged[:4], full.eigenvalues[:4]):
-        assert a == pytest.approx(b, rel=1e-6, abs=1e-9)
 
 
 def test_not_involution():

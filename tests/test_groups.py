@@ -13,7 +13,6 @@ from eigenmax.groups import (
     group_order,
     make_group,
     standard_action,
-    subgroup_order,
 )
 
 ALL_KINDS = [
@@ -62,15 +61,6 @@ def test_group_orders():
     assert group_order(make_group("dihedral", (5,))) == 10
     assert group_order(make_group("trivial")) == 1
     assert group_order(make_group("onestar")) == 2
-
-
-def test_subgroup_orders():
-    g234 = make_group("platonic", (2, 3, 4))
-    assert subgroup_order(g234, 0, 2) == 6
-    g233 = make_group("platonic", (2, 3, 3))
-    assert subgroup_order(g233, 0, 1) == 4
-    d2 = make_group("dihedral", (2,))
-    assert subgroup_order(d2, 0, 1) == 4
 
 
 def test_enumeration_matches_order():

@@ -96,7 +96,7 @@ def test_flatten_weights_recovers_constant():
 
 def test_maximize_sphere_from_noise():
     mesh = round_sphere(3).with_density(_noisy_density(round_sphere(3)))
-    state, final, spec = maximize(mesh, "laplace", max_iters=60)
+    state, final, spec = maximize(mesh, max_iters=60)
     assert state.objective == pytest.approx(8 * np.pi, rel=0.01)
     assert state.residual < 0.05
     assert state.cluster_dim == 3
@@ -108,14 +108,14 @@ def test_maximize_sphere_from_noise():
 def test_maximize_disk_steklov_from_noise():
     disk = unit_disk(3)
     rho = _noisy_density(disk, amp=0.3, seed=5)
-    state, final, spec = maximize(disk.with_density(rho), "steklov", max_iters=60)
+    state, final, spec = maximize(disk.with_density(rho), max_iters=60)
     assert state.objective == pytest.approx(2 * np.pi, rel=0.01)
     assert state.cluster_dim == 2
 
 
 def test_maximize_torus_stays_flat():
     torus = flat_torus(1)
-    state, final, spec = maximize(torus, "laplace", max_iters=30)
+    state, final, spec = maximize(torus, max_iters=30)
     assert state.objective <= 4 * np.pi**2 + 0.05
     assert state.objective == pytest.approx(4 * np.pi**2, rel=0.02)
     assert state.cluster_dim == 4
@@ -124,7 +124,7 @@ def test_maximize_torus_stays_flat():
 def test_density_stays_invariant():
     mesh = build_mesh(sphere_family(1), 700)
     noisy = mesh.with_density(_noisy_density(mesh, amp=0.15, seed=9))
-    state, final, _ = maximize(noisy, "laplace", max_iters=25, residual_tol=0.03)
+    state, final, _ = maximize(noisy, max_iters=25, residual_tol=0.03)
     for name, perm in final.actions.items():
         assert np.array_equal(final.density[perm], final.density), name
 
@@ -132,9 +132,9 @@ def test_density_stays_invariant():
 def test_scale_invariance_of_argmax():
     mesh = round_sphere(2)
     rho = _noisy_density(mesh, amp=0.1, seed=4)
-    s1, m1, _ = maximize(mesh.with_density(rho), "laplace", max_iters=15, residual_tol=0.03)
+    s1, m1, _ = maximize(mesh.with_density(rho), max_iters=15, residual_tol=0.03)
     s2, m2, _ = maximize(
-        mesh.with_density(3.0 * rho), "laplace", max_iters=15, residual_tol=0.03
+        mesh.with_density(3.0 * rho), max_iters=15, residual_tol=0.03
     )
     assert s2.objective == pytest.approx(s1.objective, rel=1e-9)
     ratio = m2.density / m1.density
@@ -146,7 +146,7 @@ def test_guard_violation_aborts():
     mesh = round_sphere(2)
     mesh.meta["brs"] = {"closed": True, "bound": 1.0}
     with pytest.raises(GuardViolation):
-        maximize(mesh, "laplace", max_iters=5)
+        maximize(mesh, max_iters=5)
 
 
 def test_annulus_moduli_sweep():
@@ -155,7 +155,7 @@ def test_annulus_moduli_sweep():
     def factory(T):
         return conformal_annulus(T / np.pi, 1)
 
-    results, best = moduli_sweep(params, factory, kind="steklov", max_iters=40)
+    results, best = moduli_sweep(params, factory, max_iters=40)
     assert best["parameter"] == pytest.approx(CATENOID_T)
     expected = 4 * np.pi * np.tanh(CATENOID_T)
     assert best["state"].objective == pytest.approx(expected, rel=0.01)
@@ -167,10 +167,10 @@ def test_torus_aspect_sweep():
     def factory(a):
         return flat_torus(1, aspect=a)
 
-    results, best = moduli_sweep(params, factory, kind="laplace", max_iters=25)
+    results, best = moduli_sweep(params, factory, max_iters=25)
     assert best["parameter"] == 1.0
     # single-point grid returns that point
-    results1, best1 = moduli_sweep([1.0], factory, kind="laplace", max_iters=5)
+    results1, best1 = moduli_sweep([1.0], factory, max_iters=5)
     assert best1["parameter"] == 1.0
 
 
@@ -184,21 +184,21 @@ def test_invariant_curve_flags():
 
 
 def test_gap_report_sphere_equality():
-    report = gap_report(sphere_family(1), 8 * np.pi * 0.9995, kind="laplace")
+    report = gap_report(sphere_family(1), 8 * np.pi * 0.9995)
     assert report["verdict"] == "equality"
     assert report["thresholds"]["sphere"] == pytest.approx(8 * np.pi)
 
 
 def test_gap_report_disk():
     disk = halve(sphere_family(1), "tau")
-    report = gap_report(disk, 2 * np.pi * 1.0004, kind="steklov")
+    report = gap_report(disk, 2 * np.pi * 1.0004)
     assert report["verdict"] == "equality"
     assert report["thresholds"]["disk"] == pytest.approx(2 * np.pi)
 
 
 def test_gap_report_genus_two():
     desc = closed_surface(make_group("onestar"), TypeB.make(f=1, e={0: 1}))
-    report = gap_report(desc, 40.0, children=[("M(Z2,1)", 4 * np.pi**2)], kind="laplace")
+    report = gap_report(desc, 40.0, children=[("M(Z2,1)", 4 * np.pi**2)])
     assert report["clifford_torus"] == pytest.approx(4 * np.pi**2)
     assert report["exceeds_clifford"] is True
     assert "lawson_area_bound" in report
@@ -239,7 +239,7 @@ def test_warm_started_trials_match_fresh_solves(monkeypatch, capsys):
             return spec
 
         monkeypatch.setattr(fem, "laplace_spectrum", checked)
-        state, _, spec = maximize(mesh, "laplace", max_iters=iterations)
+        state, _, spec = maximize(mesh, max_iters=iterations)
         assert state.iterations == iterations and bounded and solved
         # nothing is printed by default
         assert capsys.readouterr() == ("", "")
@@ -264,7 +264,7 @@ def test_an_accepted_trial_spectrum_is_the_next_iterate(monkeypatch):
         return spec
 
     monkeypatch.setattr(fem, "laplace_spectrum", recorded)
-    state, final, spec = maximize(mesh, "laplace", max_iters=3)
+    state, final, spec = maximize(mesh, max_iters=3)
     assert state.iterations == 3
     # the last iterate's spectrum is the one its accepted trial solved, not a new solve
     assert any(spec is trial for trial in trials)
@@ -278,14 +278,14 @@ def test_trial_floors_leave_the_ascent_bitwise_unchanged(monkeypatch):
     import eigenmax.fem as fem
 
     mesh = _genus_two_mesh()
-    bounded, _, _ = maximize(mesh, "laplace", max_iters=4)
+    bounded, _, _ = maximize(mesh, max_iters=4)
     solve = fem.laplace_spectrum
 
     def unbounded(trial, count=8, below=None, **kwargs):
         return solve(trial, count, **kwargs)
 
     monkeypatch.setattr(fem, "laplace_spectrum", unbounded)
-    plain, _, _ = maximize(mesh, "laplace", max_iters=4)
+    plain, _, _ = maximize(mesh, max_iters=4)
     assert bounded.history == plain.history
     assert bounded.objective == plain.objective
     assert bounded.density.tobytes() == plain.density.tobytes()
@@ -306,10 +306,21 @@ def test_every_trial_makes_one_laplace_spectrum_call(monkeypatch, caplog):
 
     monkeypatch.setattr(fem, "laplace_spectrum", counted)
     with caplog.at_level("DEBUG", logger="eigenmax.optimize"):
-        state, _, _ = maximize(mesh, "laplace", max_iters=4)
+        state, _, _ = maximize(mesh, max_iters=4)
     logged = [re.search(r"(\d+) trial solves, (\d+) stopped", r.getMessage()) for r in caplog.records]
     trials = sum(int(m.group(1)) for m in logged if m)
     stopped = sum(int(m.group(2)) for m in logged if m)
     # the first iterate is the only solve outside a trial
     assert len(calls) == 1 + trials
     assert sum(calls) == trials and 0 < stopped < trials
+
+
+def test_a_run_at_the_iteration_cap_returns_its_last_accepted_move():
+    mesh = _genus_two_mesh()
+    capped, final, spec = maximize(mesh, max_iters=3)
+    longer, _, _ = maximize(mesh, max_iters=4)
+    # the iterate the third move reached is the fourth iterate of a longer run
+    assert capped.iterations == 3 and capped.flag == "max-iters" and not capped.converged
+    assert capped.history == longer.history[:4]
+    assert capped.objective == longer.history[3][1]
+    assert capped.objective == normalized_first(final, "laplace", spec)
