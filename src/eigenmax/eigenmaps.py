@@ -13,7 +13,7 @@ import numpy as np
 
 from . import fem
 from .equivariant import involution_parities
-from .meshcore import MeshError, components, ordered_star
+from .meshcore import MeshError, components
 
 
 class EigenmapError(MeshError):
@@ -327,61 +327,89 @@ def interior_critical_vertices(values, mesh):
 
     The star is flattened by its reference lengths (cone angle normalized to
     2 pi); the vertex is critical when the incident triangle gradients do
-    not span an open half-plane.
+    not span an open half-plane.  Every star is walked at once, one corner
+    per step, in the cyclic order of ``meshcore.ordered_star`` from its
+    first corner in triangle order; a star whose walk does not close is
+    skipped, and the vertices come in the order of their first triangle.
     """
     u = np.asarray(values, dtype=float)
-    boundary = set(int(x) for x in mesh.boundary_vertices())
-    tri = mesh.triangles.tolist()
-    # star of each vertex: its (triangle, corner) pairs in triangle order
-    stars = {}
-    for ti, t in enumerate(tri):
-        for k, v in enumerate(t):
-            stars.setdefault(v, []).append((ti, k))
-    angles = np.arccos(np.clip(mesh.corner_cosines(), -1, 1))
+    n = mesh.n_vertices
+    tri = mesh.triangles
+    # corner c = 3*t + k sits at vertex tri[t, k]; a and b follow it in the triangle
+    at, a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()
+    angles = np.arccos(np.clip(mesh.corner_cosines(), -1, 1)).ravel()
     lengths = mesh.geometry.triangle_lengths
-    out = []
-    for v, star in stars.items():
-        if v in boundary:
-            continue
-        scale = 2 * np.pi / sum(angles[ti, k] for ti, k in star)
-        order = ordered_star(tri, star)
-        if order is None:
-            continue
-        theta = 0.0
-        grads = []
-        for ti, k in order:
-            a, b = tri[ti][(k + 1) % 3], tri[ti][(k + 2) % 3]
-            # |va| and |vb| are the lengths opposite corners k+2 and k+1
-            la, lb = lengths[ti, (k + 2) % 3], lengths[ti, (k + 1) % 3]
-            ang = angles[ti, k]
-            pa = np.array([la * np.cos(theta * scale), la * np.sin(theta * scale)])
-            pb = np.array(
-                [lb * np.cos((theta + ang) * scale), lb * np.sin((theta + ang) * scale)]
-            )
-            grads.append(_planar_gradient(np.zeros(2), pa, pb, u[v], u[a], u[b]))
-            theta += ang
-        if _zero_in_cone(np.asarray(grads)):
-            out.append(v)
-    return out
+    # |va| and |vb| are the lengths opposite corners k+2 and k+1
+    la, lb = lengths[:, [2, 0, 1]].ravel(), lengths[:, [1, 2, 0]].ravel()
+    scale = 2 * np.pi / np.bincount(at, weights=angles, minlength=n)
+    # the corner of each vertex whose a is a given vertex (the last one, as
+    # ordered_star's lookup keeps)
+    keys = at * n + a
+    by_key = np.argsort(keys, kind="stable")
+    sorted_keys = keys[by_key]
+    vertices, first, degree = np.unique(at, return_index=True, return_counts=True)
+    # the interior vertices, in the order of their first corner
+    stars = np.argsort(first)
+    stars = stars[~np.isin(vertices[stars], mesh.boundary_vertices())]
+    if len(stars) == 0:
+        return []
+    vertices, first, degree = vertices[stars], first[stars], degree[stars]
+    start = a[first]
+    cur = start.copy()
+    theta = np.zeros(len(vertices))
+    closed = np.ones(len(vertices), dtype=bool)
+    steps = []  # per step: (star index, corner, theta) of the stars still walking
+    for step in range(int(degree.max())):
+        walking = np.flatnonzero(closed & (step < degree))
+        query = vertices[walking] * n + cur[walking]
+        found = np.searchsorted(sorted_keys, query, side="right") - 1
+        corner = by_key[np.maximum(found, 0)]
+        ok = (found >= 0) & (keys[corner] == query)
+        closed[walking[~ok]] = False
+        walking, corner = walking[ok], corner[ok]
+        steps.append((walking, corner, theta[walking]))
+        theta[walking] += angles[corner]
+        cur[walking] = b[corner]
+    closed &= cur == start
+    star, corner, theta = (np.concatenate(part) for part in zip(*steps))
+    keep = closed[star]
+    star, corner, theta = star[keep], corner[keep], theta[keep]
+    v, s = vertices[star], scale[vertices[star]]
+    pa = la[corner, None] * np.column_stack([np.cos(theta * s), np.sin(theta * s)])
+    turned = (theta + angles[corner]) * s
+    pb = lb[corner, None] * np.column_stack([np.cos(turned), np.sin(turned)])
+    grads = _planar_gradient(np.zeros(2), pa, pb, u[v], u[a[corner]], u[b[corner]])
+    order = np.argsort(star, kind="stable")
+    walked, starts = np.unique(star[order], return_index=True)
+    return vertices[walked[_zero_in_cones(grads[order], starts)]].tolist()
 
 
 def _planar_gradient(p0, p1, p2, u0, u1, u2):
-    mat = np.array([p1 - p0, p2 - p0])
-    rhs = np.array([u1 - u0, u2 - u0])
-    return np.linalg.solve(mat, rhs)
+    """Gradient of the linear function with values u0, u1, u2 at the points
+    p0, p1, p2 of the plane; stacks of points (..., 2) and values (...) give
+    a stack of gradients."""
+    mat = np.stack([p1 - p0, p2 - p0], axis=-2)
+    rhs = np.stack([u1 - u0, u2 - u0], axis=-1)
+    return np.linalg.solve(mat, rhs[..., None])[..., 0]
 
 
-def _zero_in_cone(grads):
+def _zero_in_cones(grads, starts):
+    """Whether zero lies in the cone of each group of rows of grads, the
+    groups beginning at the ascending row indices starts: a zero or
+    vanishing gradient, or directions that span more than a half-plane."""
     norms = np.linalg.norm(grads, axis=1)
-    scale = float(np.max(norms))
-    if scale < 1e-13:
-        return True
-    if np.min(norms) < 1e-10 * scale:
-        return True
-    ang = np.sort(np.arctan2(grads[:, 1], grads[:, 0]))
-    gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
+    scale = np.maximum.reduceat(norms, starts)
+    tiny = np.minimum.reduceat(norms, starts) < 1e-10 * scale
+    group = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(grads))))
+    ang = np.arctan2(grads[:, 1], grads[:, 0])
+    ang = ang[np.lexsort((ang, group))]
+    ends = np.append(starts[1:], len(grads)) - 1
+    # the gap after each direction, and after a group's last the one back to its first
+    gaps = np.empty(len(grads))
+    gaps[:-1] = np.diff(ang)
+    gaps[ends] = ang[starts] + 2 * np.pi - ang[ends]
     # zero lies in the convex hull iff the directions span more than a half-plane
-    return bool(np.max(gaps) < np.pi - 1e-9)
+    return (scale < 1e-13) | tiny | (np.maximum.reduceat(gaps, starts) < np.pi - 1e-9)
 
 
 def boundary_trace_extrema(values, mesh):

@@ -1,17 +1,17 @@
 """Exploiting the group action: invariant averaging and parity sectors.
 
-A joint parity sector of commuting involutions is solved on the whole mesh,
-in the orbit coordinates of ``sector_basis``, by ``sector_spectrum``; a
-Steklov sector is one block of the mesh's Dirichlet-to-Neumann matrix.
-``orbits`` and ``sector_basis`` (and ``NonCommuting``, which it raises) live
-in meshcore, where fem's Steklov sector blocks use them too."""
+A joint parity sector of commuting involutions is solved on the whole mesh
+by ``sector_spectrum``, as one sector block of the full solve: a Laplace
+sector is a block of the mesh's stiffness, a Steklov sector one block of the
+mesh's Dirichlet-to-Neumann matrix.  ``orbits`` and
+``sector_basis`` (and ``NonCommuting``, which it raises) live in meshcore,
+where fem's sector blocks use them too."""
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from .fem import assemble_mass, assemble_stiffness, restricted_spectrum, steklov_spectrum
+from .fem import laplace_spectrum, steklov_spectrum
 from .meshcore import EquivariantError, NonCommuting, orbits, sector_basis  # noqa: F401
 
 
@@ -47,21 +47,19 @@ def sector_spectrum(mesh, labels, kind="laplace", count=6, seed=0):
     """Spectrum of the problem restricted to the joint parity sector of labels.
 
     labels: dict involution name -> +1 | -1; the involutions must commute.
-    A Laplace sector is solved in the coordinates of ``sector_basis`` and its
-    vectors are lifted to the mesh.  A Steklov sector is the sector's block of
-    the mesh's cached Dirichlet-to-Neumann matrix, which each involution must
-    leave unchanged (``steklov_spectrum`` with ``sector``).
+    Both kinds solve the sector through the full solve with ``sector``: a
+    Laplace sector is the sector's own block of the stiffness, in the
+    coordinates of ``sector_basis``, and its lowest count + 1 eigenpairs are
+    lifted to the mesh; a Steklov sector is the sector's block of the mesh's
+    cached Dirichlet-to-Neumann matrix, which each involution must leave
+    unchanged.
     """
     names = sorted(labels)
     perms = [_involution_perm(mesh, k) for k in names]
     signs = [1.0 if labels[k] > 0 else -1.0 for k in names]
     if kind == "steklov":
         return steklov_spectrum(mesh, count, sector=(perms, signs))
-    R = sector_basis(mesh.n_vertices, perms, signs)
-    M = assemble_mass(mesh)
-    Kr = (R.T @ assemble_stiffness(mesh) @ R).tocsr()
-    Mr = np.asarray((R.T @ sp.diags(M) @ R).diagonal())
-    return restricted_spectrum(Kr, Mr, count, R.dot, M, seed)
+    return laplace_spectrum(mesh, count, seed=seed, sector=(perms, signs))
 
 
 def parity_split_spectrum(mesh, name, count=6, kind="laplace", seed=0):

@@ -6,6 +6,15 @@ independent of the conformal density.  The density enters only through the
 lumped interior mass (weight rho) and the lumped boundary mass (weight
 sqrt(rho)), which is what makes the normalized eigenvalues scale invariant
 at the discrete level.
+
+One solve path: sector blocks.  The stored actions that are commuting
+involutions and leave the density-independent operator unchanged (the
+stiffness K and the reference mass for Laplace, the Dirichlet-to-Neumann
+matrix for Steklov) split it, once per mesh geometry, into one block per
+joint sign sector; an invariant density changes only each block's diagonal
+mass.  A solve is the lowest eigenpairs of the blocks merged in value order.
+A mesh without such an involution, or a density they do not keep, has one
+identity block.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .meshcore import EquivariantError, _frozen, sector_basis, weighted_area
+from .meshcore import EquivariantError, SignSectors, _frozen, weighted_area
 
 DEFAULT_CLUSTER_TOL = 1e-3
 # pencils with at most this many unknowns are solved densely
@@ -29,6 +38,15 @@ DENSE_CUTOFF = 600
 # the Rayleigh-Ritz bound of a start block is skipped when the block's
 # Gram matrix under the new mass is more ill-conditioned than this
 RITZ_MAX_CONDITION = 1e8
+# a Laplace sector is skipped only when its Courant-Fischer lower bound is
+# above the merged top by this relative margin, which covers the error of
+# the accepted eigenvalues the bound is scaled from
+SECTOR_SKIP_MARGIN = 1e-6
+# the stiffness is split by at most as many involutions as keep its sectors
+# at this many unknowns on average: a smaller sector saves less in its
+# solve than the solve's fixed cost (on M(*222,1) at 5756 vertices, 16
+# sectors of 360 unknowns took longer than the one full solve, 4 of 1440 less)
+SECTOR_MIN_SIZE = 1000
 
 log = logging.getLogger(__name__)
 
@@ -129,11 +147,21 @@ def _reference_boundary_mass(mesh, panels):
     )
 
 
+@dataclass(frozen=True)
+class SectorSolve:
+    """What a Laplace solve knows of one of its sector blocks."""
+
+    block: _SectorBlock
+    lowest: float  # the sector's lowest eigenvalue at density
+    density: np.ndarray  # this solve's density, or an earlier one if the sector was skipped
+
+
 class Spectrum:
     """Ascending eigenvalues with mass-orthonormal vectors on the full vertex set.
 
     vectors is the (n_vertices, k) array, or a function that returns it: then
     it is called on the first read of Spectrum.vectors, and its result kept.
+    sectors holds a SectorSolve per sector block of a Laplace solve.
     """
 
     def __init__(
@@ -145,6 +173,7 @@ class Spectrum:
         n_zero=0,
         cluster_tol=DEFAULT_CLUSTER_TOL,
         bounded=False,
+        sectors=None,
     ):
         self.eigenvalues = eigenvalues
         if callable(vectors):
@@ -158,6 +187,7 @@ class Spectrum:
         # the eigenvalues are Rayleigh-Ritz upper bounds of a start block,
         # not converged eigenvalues (laplace_spectrum(below=))
         self.bounded = bounded
+        self.sectors = sectors
 
     @cached_property
     def vectors(self):
@@ -232,9 +262,10 @@ def solve_generalized(K, M, count, tol=1e-9, seed=0):
     """Lowest eigenpairs of K u = lambda M u, K sym PSD, M diagonal positive.
 
     Returns (values, vectors).  Up to DENSE_CUTOFF unknowns the pencil is
-    solved densely; above it, shift-invert Lanczos runs on the factorization
-    of K - sigma*M (sigma < 0).  Deterministic: the Lanczos starting vector
-    is drawn from a seeded generator.  count is clamped to the dimension.
+    solved densely, for the wanted pairs only; above it, shift-invert Lanczos
+    runs on the factorization of K - sigma*M (sigma < 0).  Deterministic: the
+    Lanczos starting vector is drawn from a seeded generator.  count is
+    clamped to the dimension.
     """
     n = K.shape[0]
     M = np.asarray(M)
@@ -244,8 +275,8 @@ def solve_generalized(K, M, count, tol=1e-9, seed=0):
     if count < 1:
         raise FemError("count must be >= 1")
     if n <= DENSE_CUTOFF or count > n - 2:
-        vals, vecs = scipy.linalg.eigh(K.toarray(), np.diag(M))
-        return _accept(K, M, vals[:count], vecs[:, :count], tol, "dense")
+        vals, vecs = _standard_eigh(K.toarray(), M, count, True)
+        return _accept(K, M, vals, vecs, tol, "dense")
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     sigma = -1e-3 * K.diagonal().sum() / M.sum()
@@ -289,10 +320,37 @@ def _zero_count(vals, scale):
     return int(np.sum(np.abs(vals) < tol))
 
 
-def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start=None, below=None):
-    """Laplace eigenvalues; zero mode included (and reported) unless Dirichlet.
+def laplace_spectrum(
+    mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start=None, below=None, prior=None,
+    sector=None,
+):
+    """Laplace eigenvalues; zero mode included (and reported, as exactly 0)
+    unless Dirichlet.
 
-    With Dirichlet panels the pencil is restricted to the free vertices.
+    The lowest count + 1 eigenpairs (count with Dirichlet panels, where the
+    pencil is restricted to the free vertices and solved in one piece).
+
+    One solve path: sector blocks.  The pencil K u = lambda M u is
+    block-diagonal in the joint sign sectors of the mesh's commuting
+    involutions that leave K and M_ref unchanged (_stiffness_sectors, built
+    once per mesh geometry), when the density is invariant under them; else
+    it is one identity block.  Each block solved gives its lowest count + 1
+    eigenpairs (or all of a smaller block), and the merged spectrum is the
+    lowest count + 1 of them in value order, lifted to the mesh and
+    mass-orthonormalized.  So a block that gives all its values to the merge
+    holds all of it, and the merge is exact without re-solves.
+
+    prior, the Spectrum of an earlier solve on the same geometry (internal:
+    the ascent's iterate, handed to its trials), lets a block be skipped.
+    Only M = rho*M_ref moves, so by Courant-Fischer every eigenvalue of a
+    block at rho' is at least its value at rho times min(rho / rho').  A
+    block whose carried lowest eigenvalue, scaled so, is above the merged
+    top has nothing to add and is not solved; its carried value is kept.  A
+    block is solved the same way with or without a prior, so the result does
+    not depend on it.
+
+    sector, a pair (perms, signs) of commuting vertex involutions and their
+    signs, solves that joint sign sector only, as its own block.
 
     start, an (n_vertices, k) block of vectors such as the lowest
     eigenvectors at a nearby density, and below, a floor for the first
@@ -310,14 +368,81 @@ def laplace_spectrum(mesh, count=8, dirichlet_panels=(), seed=0, tol=1e-9, start
     on_free = _free_vertices(mesh, dirichlet_panels)
     if not np.all(on_free):
         free = np.flatnonzero(on_free)
-        lift = partial(_embed, index=free, n=mesh.n_vertices)
-        return restricted_spectrum(K[free][:, free].tocsr(), M[free], count, lift, M, seed, tol)
+        vals, vecs = solve_generalized(K[free][:, free].tocsr(), M[free], count, tol=tol, seed=seed)
+        vecs = _embed(vecs, free, mesh.n_vertices)
+        return Spectrum(vals, vecs, M, "laplace", n_zero=_zero_count(vals, vals[-1]))
     if start is not None and below is not None:
         bounded = _ritz_bound(K, M, start, below)
         if bounded is not None:
             return bounded
-    vals, vecs = solve_generalized(K, M, count + 1, tol=tol, seed=seed)
-    return Spectrum(vals, vecs, M, "laplace", n_zero=_zero_count(vals, vals[-1]))
+    rho = mesh.density
+    if sector is not None:
+        blocks = _sector_blocks(K, sector[0], [tuple(sector[1])])
+        if not blocks:
+            raise FemError("the sector has no vertices")
+    else:
+        sectors = mesh.geometry.cached(
+            "laplace_sectors", lambda: _stiffness_sectors(K, _reference_mass(mesh), mesh.actions)
+        )
+        if all(np.allclose(rho[p], rho, rtol=1e-12, atol=0.0) for p in sectors.symmetries):
+            blocks = sectors.blocks
+        else:
+            blocks = mesh.geometry.cached("laplace_identity", lambda: _sector_blocks(K, ()))
+    return _merged_sectors(blocks, M, count + 1, rho, seed, tol, prior)
+
+
+def _merged_sectors(blocks, M, count, rho, seed, tol, prior):
+    """The Spectrum of the lowest count eigenpairs of the pencil K u = lambda
+    diag(M) u given as sector blocks, at the density rho (laplace_spectrum)."""
+    carried = _carried(prior, blocks)
+    lower = [-np.inf if c is None else c.lowest * float(np.min(c.density / rho)) for c in carried]
+    solved = {}
+    top = np.inf
+    # in the order of the lower bounds, so that the merged top is known
+    # before the blocks most likely to be skipped
+    for b in np.argsort(lower, kind="stable"):
+        if lower[b] > top * (1 + SECTOR_SKIP_MARGIN):
+            break
+        block = blocks[b]
+        solved[b] = solve_generalized(block.matrix, block.mass(M), count, tol=tol, seed=seed)
+        values = np.concatenate([vals for vals, _ in solved.values()])
+        if len(values) >= count:
+            top = np.partition(values, count - 1)[count - 1]
+    order = sorted(solved)
+    vals = np.concatenate([solved[b][0] for b in order])
+    owner = np.concatenate([np.full(len(solved[b][0]), b) for b in order])
+    index = np.concatenate([np.arange(len(solved[b][0])) for b in order])
+    pick = np.argsort(vals, kind="stable")[:count]
+    vecs = np.zeros((len(M), len(pick)))
+    for b in order:
+        at = np.flatnonzero(owner[pick] == b)
+        vecs[:, at] = blocks[b].lift(solved[b][1][:, index[pick[at]]], len(M))
+    vals, vecs = _mass_orthonormalize(vals[pick], vecs, M)
+    # K annihilates the constants, so a zero mode is exactly 0; the solved
+    # value is round-off of about eps times the top of its block's spectrum
+    n_zero = _zero_count(vals, vals[-1])
+    vals[:n_zero] = 0.0
+    records = tuple(
+        SectorSolve(block, float(solved[b][0][0]), rho) if b in solved else carried[b]
+        for b, block in enumerate(blocks)
+    )
+    log.debug(
+        "sector solve of %d eigenpairs, n=%d: solved %s, skipped %s",
+        count, len(M), [blocks[b].name for b in order],
+        [block.name for b, block in enumerate(blocks) if b not in solved],
+    )
+    return Spectrum(vals, vecs, M, "laplace", n_zero=n_zero, sectors=records)
+
+
+def _carried(prior, blocks):
+    """The prior's SectorSolve of each block, or None for each block when the
+    prior was not solved on these blocks."""
+    sectors = None if prior is None else prior.sectors
+    if sectors is None or len(sectors) != len(blocks):
+        return [None] * len(blocks)
+    if any(s.block is not block for s, block in zip(sectors, blocks)):
+        return [None] * len(blocks)
+    return list(sectors)
 
 
 def _ritz_bound(K, M, X, below):
@@ -340,17 +465,6 @@ def _ritz_bound(K, M, X, below):
         len(vals), len(M), vals[n_zero], below,
     )
     return Spectrum(vals, X @ C, M, "laplace", n_zero=n_zero, bounded=True)
-
-
-def restricted_spectrum(K, M, count, lift, mesh_mass, seed=0, tol=1e-9):
-    """Laplace spectrum of a pencil restricted to reduced coordinates.
-
-    K is the sparse stiffness and M the diagonal mass in those coordinates;
-    lift maps a block of coordinate vectors to mesh vectors, and mesh_mass is
-    the mesh mass reported with them.
-    """
-    vals, vecs = solve_generalized(K, M, count, tol=tol, seed=seed)
-    return Spectrum(vals, lift(vecs), mesh_mass, "laplace", n_zero=_zero_count(vals, vals[-1]))
 
 
 def _check_labels(mesh, labels):
@@ -378,19 +492,107 @@ def _harmonic_solve(K, interior, boundary, rhs_at_boundary):
 
 @dataclass(frozen=True)
 class _SectorBlock:
-    """The Dirichlet-to-Neumann matrix D in one joint sign sector of the
-    Steklov dofs: R^T D R for the sector's orthonormal orbit basis R, and
-    R as index gathers."""
+    """A symmetric operator A in one joint sign sector of commuting
+    involutions of its dofs: R^T A R for the sector's orthonormal orbit basis
+    R (dense for a dense A, CSR for a sparse one), and R as index gathers."""
 
-    dtn: np.ndarray  # (k, k) R^T D R
-    rows: np.ndarray  # the Steklov dof of each nonzero of R
+    matrix: np.ndarray  # (k, k) R^T A R
+    rows: np.ndarray  # the dof of each nonzero of R
     cols: np.ndarray  # its column
     vals: np.ndarray  # its value
-    squares: np.ndarray  # vals**2: R∘R, which maps Bb to the block's diagonal mass
+    squares: np.ndarray  # vals**2: R∘R, which maps a diagonal mass to the block's
+    signs: tuple  # the sector's sign under each involution
 
-    def mass(self, Bb):
-        """Diagonal of R^T diag(Bb) R: the orbit mean of Bb for an invariant Bb."""
-        return np.bincount(self.cols, weights=self.squares * Bb[self.rows], minlength=len(self.dtn))
+    @property
+    def name(self):
+        return "".join("+" if s > 0 else "-" for s in self.signs) or "identity"
+
+    def mass(self, diagonal):
+        """Diagonal of R^T diag(diagonal) R: the orbit mean of an invariant diagonal."""
+        return np.bincount(
+            self.cols, weights=self.squares * diagonal[self.rows], minlength=self.matrix.shape[0]
+        )
+
+    def lift(self, Y, n):
+        """R @ Y on the n dofs: each dof lies in one orbit, so one row of R."""
+        out = np.zeros((n, Y.shape[1]))
+        out[self.rows] = self.vals[:, None] * Y[self.cols]
+        return out
+
+
+def _sector_blocks(matrix, perms, sectors=None):
+    """A _SectorBlock for each nonempty joint sign sector (by default every
+    one, in the order of itertools.product((1.0, -1.0), repeat=len(perms)))
+    of the commuting involutions perms of the dofs of matrix; without
+    involutions, the identity.  A sparse matrix is reduced to all its
+    sectors in one pass (SignSectors.reduce)."""
+    if sectors is None:
+        sectors = list(itertools.product((1.0, -1.0), repeat=len(perms)))
+    table = SignSectors(matrix.shape[0], list(perms))
+    reduced = table.reduce(matrix) if sp.issparse(matrix) else None
+    blocks = []
+    for signs in sectors:
+        rows, cols, vals, k = table.gathers(signs)
+        if k == 0:
+            continue
+        if reduced is not None:
+            block = reduced(signs)
+        else:
+            R = sp.coo_matrix((vals, (rows, cols)), shape=(matrix.shape[0], k))
+            block = R.T @ (R.T @ matrix).T
+            block = _frozen(0.5 * (block + block.T))
+        blocks.append(_SectorBlock(
+            block, _frozen(rows), _frozen(cols), _frozen(vals), _frozen(vals**2), tuple(signs)
+        ))
+    return tuple(blocks)
+
+
+def _kept_involutions(actions, local, limit=None):
+    """local(perm) of the actions, in sorted name order, for those that local
+    accepts (it raises EquivariantError otherwise) and that commute with the
+    ones kept before them; the first limit of them."""
+    kept = []
+    for name in sorted(actions):
+        if len(kept) == limit:
+            break
+        try:
+            perm = local(actions[name])
+        except EquivariantError:
+            continue
+        if all(np.array_equal(perm[p], p[perm]) for p in kept):
+            kept.append(_frozen(perm))
+    return tuple(kept)
+
+
+@dataclass(frozen=True)
+class _StiffnessSectors:
+    """The stiffness in the joint sign sectors of a mesh's symmetries."""
+
+    symmetries: tuple  # commuting vertex involutions that leave K and M_ref unchanged
+    blocks: tuple  # a _SectorBlock of K per nonempty joint sign sector of the symmetries
+
+
+def _stiffness_sectors(K, reference_mass, actions):
+    """The _StiffnessSectors of the actions, kept by the rule of the
+    Dirichlet-to-Neumann blocks: involutions, in sorted name order, that
+    leave K and the reference mass unchanged to 1e-10 of their largest entry
+    and commute with those kept before them; the first of them only, as
+    many as leave SECTOR_MIN_SIZE unknowns per sector on average."""
+    scale = abs(K).max()
+
+    def involution(perm):
+        perm = np.array(perm)
+        if not np.array_equal(perm[perm], np.arange(len(perm))):
+            raise EquivariantError("the action is not an involution")
+        if np.max(np.abs(reference_mass[perm] - reference_mass)) > 1e-10 * np.max(reference_mass):
+            raise EquivariantError("the action changes the reference mass")
+        if abs(K[perm][:, perm] - K).max() > 1e-10 * scale:
+            raise EquivariantError("the action changes the stiffness")
+        return perm
+
+    splits = int(np.log2(max(K.shape[0] / SECTOR_MIN_SIZE, 1.0)))
+    symmetries = _kept_involutions(actions, involution, splits)
+    return _StiffnessSectors(symmetries, _sector_blocks(K, symmetries))
 
 
 @dataclass(frozen=True)
@@ -418,18 +620,8 @@ def _dirichlet_to_neumann(mesh, on_steklov, dirichlet_panels):
     Ui = _harmonic_solve(K, i, b, np.eye(len(b)))
     dtn = K[b][:, b].toarray() + K[b][:, i] @ Ui
     dtn = _frozen(0.5 * (dtn + dtn.T))
-    # the symmetries: the stored actions, in sorted name order, that are
-    # _dtn_involutions and commute with those kept before them
-    kept = []
-    for name in sorted(mesh.actions):
-        try:
-            local = _dtn_involution(dtn, b, mesh.actions[name])
-        except EquivariantError:
-            continue
-        if all(np.array_equal(local[p], p[local]) for p in kept):
-            kept.append(_frozen(local))
-    blocks = _sector_blocks(dtn, kept)
-    return _DirichletToNeumann(_frozen(b), _frozen(i), dtn, _frozen(Ui), tuple(kept), blocks)
+    kept = _kept_involutions(mesh.actions, partial(_dtn_involution, dtn, b))
+    return _DirichletToNeumann(_frozen(b), _frozen(i), dtn, _frozen(Ui), kept, _sector_blocks(dtn, kept))
 
 
 def _dtn_involution(dtn, steklov, perm):
@@ -445,26 +637,6 @@ def _dtn_involution(dtn, steklov, perm):
     if np.max(np.abs(dtn[np.ix_(local, local)] - dtn)) > 1e-10 * np.max(np.abs(dtn)):
         raise EquivariantError("the action changes the Dirichlet-to-Neumann matrix")
     return local
-
-
-def _sector_blocks(dtn, perms):
-    """A _SectorBlock for every nonempty joint sign sector of the commuting
-    involutions perms of the dofs of dtn; without involutions, the identity."""
-    signs = itertools.product((1.0, -1.0), repeat=len(perms))
-    return tuple(block for block in (_sector_block(dtn, perms, s) for s in signs) if block is not None)
-
-
-def _sector_block(dtn, perms, signs):
-    """The _SectorBlock of the joint sign sector signs of the commuting
-    involutions perms of the dofs of dtn, or None if the sector is empty."""
-    R = sector_basis(len(dtn), list(perms), signs).tocoo()
-    if R.shape[1] == 0:
-        return None
-    block = R.T @ (R.T @ dtn).T
-    return _SectorBlock(
-        _frozen(0.5 * (block + block.T)), _frozen(R.row), _frozen(R.col), _frozen(R.data),
-        _frozen(R.data**2),
-    )
 
 
 def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=(), sector=None):
@@ -490,8 +662,8 @@ def steklov_spectrum(mesh, count=8, steklov_panels=None, dirichlet_panels=(), se
     Bb = B[dtn.steklov]
     if sector is not None:
         perms = [_dtn_involution(dtn.dtn, dtn.steklov, perm) for perm in sector[0]]
-        blocks = (_sector_block(dtn.dtn, perms, sector[1]),)
-        if blocks[0] is None:
+        blocks = _sector_blocks(dtn.dtn, perms, [tuple(sector[1])])
+        if not blocks:
             raise AllDirichlet("the sector has no Steklov dofs")
     elif all(np.all(np.abs(Bb[p] - Bb) <= 1e-12 * Bb) for p in dtn.symmetries):
         blocks = dtn.blocks
@@ -524,26 +696,28 @@ def boundary_eigenpairs(blocks, Bb, count):
     vals, vecs = [], []
     for block in blocks:
         values, Y = _block_solve(block, Bb, count, True)
-        lifted = np.zeros((len(Bb), len(values)))  # R @ Y
-        lifted[block.rows] = block.vals[:, None] * Y[block.cols]
         vals.append(values)
-        vecs.append(lifted)
+        vecs.append(block.lift(Y, len(Bb)))
     vals, vecs = np.concatenate(vals), np.hstack(vecs)
     order = np.argsort(vals, kind="stable")[:count]
     return _mass_orthonormalize(vals[order], vecs[:, order], Bb)
 
 
 def _block_solve(block, Bb, count, vectors):
-    """Lowest min(count, size) eigenvalues of a block (with vectors: and its
-    mass-orthonormal eigenvectors in the block's coordinates).  The block's
-    diagonal mass is positive, so the pencil is the standard problem for
-    mass^-1/2 block mass^-1/2, of which LAPACK's dsyevr computes the wanted
-    values only."""
-    scale = 1.0 / np.sqrt(block.mass(Bb))
-    wanted = min(count, len(scale)) - 1
+    """Lowest min(count, size) eigenvalues of a dense block (with vectors: and
+    its mass-orthonormal eigenvectors in the block's coordinates)."""
+    return _standard_eigh(block.matrix, block.mass(Bb), min(count, len(block.matrix)), vectors)
+
+
+def _standard_eigh(A, mass, count, vectors):
+    """Lowest count eigenvalues (with vectors: and mass-orthonormal
+    eigenvectors) of the dense pencil A u = lambda diag(mass) u, mass
+    positive: the standard problem for mass^-1/2 A mass^-1/2, of which
+    LAPACK's dsyevr computes the wanted pairs only."""
+    scale = 1.0 / np.sqrt(mass)
     out = scipy.linalg.eigh(
-        scale[:, None] * block.dtn * scale[None, :], eigvals_only=not vectors,
-        subset_by_index=[0, wanted], driver="evr", check_finite=False,
+        scale[:, None] * A * scale[None, :], eigvals_only=not vectors,
+        subset_by_index=[0, count - 1], driver="evr", check_finite=False,
     )
     if not vectors:
         return out

@@ -97,27 +97,87 @@ def sector_basis(n, perms, signs):
     the character is inconsistent (fixed by an odd generator) drop out.
     Without involutions it is the identity.
     """
-    _check_commuting(perms)
-    labels = orbits(n, perms)
-    roots = np.unique(labels, return_index=True)[1]  # each orbit's smallest vertex
-    # the character of the element that carries each orbit's smallest vertex
-    # to a vertex; the group elements are the products of the involutions
-    sign = np.zeros(n)
-    consistent = np.ones(len(roots), dtype=bool)
-    group, chars = [np.arange(n)], [1.0]
-    for perm, s in zip(perms, signs):
-        group += [g[perm] for g in group]
-        chars += [c * s for c in chars]
-    for g, c in zip(group, chars):
-        images = g[roots]
-        consistent &= (sign[images] == 0) | (sign[images] == c)
-        sign[images] = c
-    norm = 1.0 / np.sqrt(np.bincount(labels))
-    columns = np.cumsum(consistent) - 1
-    rows = np.flatnonzero(consistent[labels])
-    orbit = labels[rows]
-    vals = sign[rows] * norm[orbit]
-    return sp.csr_matrix((vals, (rows, columns[orbit])), shape=(n, int(consistent.sum())))
+    return SignSectors(n, perms).basis(signs)
+
+
+class SignSectors:
+    """The joint sign sectors of commuting involutions of range(n).
+
+    The orbits, the group element that carries each orbit's smallest member
+    to each member, and each orbit's stabilizer are found once, in one pass,
+    for all sectors.  Element e of the group is the product of the
+    involutions whose bits are set in e; a sector's sign tuple gives its
+    character on them.
+    """
+
+    def __init__(self, n, perms):
+        _check_commuting(perms)
+        self.n = n
+        self.labels = orbits(n, perms).astype(np.int64)  # int64: reduce codes orbit pairs
+        roots = np.unique(self.labels, return_index=True)[1]  # each orbit's smallest member
+        images = [roots]  # images[e]: the roots' images under element e
+        for perm in perms:
+            images += [perm[image] for image in images]
+        images = np.array(images)
+        self.element = np.zeros(n, dtype=np.int64)  # an element carrying the root to each member
+        for e, image in enumerate(images):
+            self.element[image] = e
+        self.fixes = images == roots  # (elements, orbits): e stabilizes the orbit
+        self.norm = 1.0 / np.sqrt(np.bincount(self.labels))
+
+    def character(self, signs):
+        """The sign of every group element in the sector."""
+        char = np.ones(len(self.fixes))
+        bits = np.arange(len(self.fixes))
+        for k, s in enumerate(signs):
+            char[((bits >> k) & 1) == 1] *= s
+        return char
+
+    def columns(self, signs):
+        """(char, column): the character and each orbit's column in the
+        sector's basis, -1 for an orbit on which the character is
+        inconsistent (fixed by an element of sign -1)."""
+        char = self.character(signs)
+        consistent = ~np.any(self.fixes & (char < 0)[:, None], axis=0)
+        return char, np.where(consistent, np.cumsum(consistent) - 1, -1)
+
+    def gathers(self, signs):
+        """(rows, cols, vals, k): the nonzeros of the sector's (n, k) basis R,
+        rows ascending; a member of a kept orbit is one row of R."""
+        char, column = self.columns(signs)
+        rows = np.flatnonzero(column[self.labels] >= 0)
+        orbit = self.labels[rows]
+        return rows, column[orbit], char[self.element[rows]] * self.norm[orbit], int(column.max(initial=-1)) + 1
+
+    def basis(self, signs):
+        rows, cols, vals, k = self.gathers(signs)
+        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, k))
+
+    def reduce(self, A):
+        """A function of a sign tuple giving R^T A R (CSR) for the sparse
+        symmetric A on range(n).  An entry of R^T A R sums A over one pair of
+        orbits with the character of the element that relates the two
+        members, so A is summed once per orbit pair and element for all
+        sectors."""
+        A = A.tocoo()
+        first, second = self.labels[A.row], self.labels[A.col]
+        count = len(self.norm)
+        pairs, pair = np.unique(first * count + second, return_inverse=True)
+        order = len(self.fixes)
+        relating = self.element[A.row] ^ self.element[A.col]
+        sums = np.bincount(pair * order + relating, weights=A.data, minlength=len(pairs) * order)
+        first, second = pairs // count, pairs % count
+        sums = sums.reshape(len(pairs), order) * (self.norm[first] * self.norm[second])[:, None]
+
+        def reduced(signs):
+            char, column = self.columns(signs)
+            keep = (column[first] >= 0) & (column[second] >= 0)
+            rows, cols = column[first[keep]], column[second[keep]]
+            k = int(column.max(initial=-1)) + 1
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=k))])
+            return sp.csr_matrix((sums[keep] @ char, cols, indptr), shape=(k, k))
+
+        return reduced
 
 
 def edge_table(triangles, base):
@@ -286,9 +346,10 @@ class SymmetricMesh:
     meta: free-form provenance (descriptor, builtin name, BRS flags)
 
     triangles and panels must not be mutated after construction, nor actions
-    after the first Steklov solve: the density-independent ``geometry`` is
-    derived from them once (the actions give its Steklov sector blocks) and
-    shared by every ``with_density`` copy.
+    after the first solve: the density-independent ``geometry`` is derived
+    from them once (the actions give its Laplace and Steklov sector blocks)
+    and shared by every ``with_density`` copy.  density is replaced, not
+    mutated in place: assigning it drops the memoized ``area``.
     """
 
     def __init__(self, positions, triangles, edges, density=None, panels=None, actions=None,
@@ -407,8 +468,21 @@ class SymmetricMesh:
         out.density = rho.copy()
         return out
 
+    @property
+    def density(self):
+        return self._density
+
+    @density.setter
+    def density(self, rho):
+        # a new density, also on a copy.copy of a mesh, drops the memoized area
+        self._density = rho
+        self._area = None
+
     def area(self):
-        return weighted_area(self, self.density)
+        """weighted_area at the mesh's density, computed once per density."""
+        if self._area is None:
+            self._area = weighted_area(self, self.density)
+        return self._area
 
     def steklov_edges(self, labels=None):
         """Read-only (k, 2) endpoints and (k,) reference lengths of the Steklov

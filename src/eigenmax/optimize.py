@@ -217,11 +217,13 @@ def maximize(
     (fem.laplace_spectrum(start=, below=)): a Laplace trial whose
     Rayleigh-Ritz bound is already below it is rejected without an
     eigensolve, and its spectrum holds upper bounds, not eigenvalues.  Any
-    other trial gets the same solve an iterate gets, and an accepted trial's
-    spectrum is the next iterate's, so only the first iterate is solved
-    outside a trial.  A run that makes max_iters moves evaluates the iterate
-    the last one reached from its carried spectrum and returns it, flagged
-    "max-iters" unless it meets residual_tol.
+    other trial gets the same solve an iterate gets, less the sector blocks
+    that the iterate's spectrum (prior=) shows cannot reach the merged
+    spectrum, and an accepted trial's spectrum is the next iterate's, so only
+    the first iterate is solved outside a trial.  A run that makes max_iters
+    moves evaluates the iterate the last one reached from its carried
+    spectrum and returns it, flagged "max-iters" unless it meets
+    residual_tol.
     """
     if max_iters < 1:
         raise OptimizeError(f"max_iters must be at least 1, not {max_iters}")
@@ -302,7 +304,7 @@ def maximize(
                 # the full step (guards against cluster reordering)
                 least = -LINE_SEARCH_DROP * scale if t == 1.0 else 1e-11 * scale
                 below = (value + least - BOUND_MARGIN * scale) / problem.size(trial)
-                tspec = problem.solve(trial, count, seed, start=start, below=below)
+                tspec = problem.solve(trial, count, seed, start=start, below=below, prior=spec)
                 trials += 1
                 bounded += tspec.bounded
                 tvalue = fem.normalized_first(trial, problem.kind, tspec)

@@ -243,8 +243,19 @@ def test_oval_convexity_report():
 
 def _critical_vertices_loop(values, mesh):
     # the per-vertex star layout interior_critical_vertices used before it
-    # read the corner angles from the mesh's law-of-cosines kernel
-    from eigenmax.eigenmaps import _planar_gradient, _zero_in_cone
+    # read the corner angles from the mesh's law-of-cosines kernel, with its
+    # own per-triangle gradient and per-star cone test
+    def planar_gradient(p0, p1, p2, u0, u1, u2):
+        return np.linalg.solve(np.array([p1 - p0, p2 - p0]), np.array([u1 - u0, u2 - u0]))
+
+    def zero_in_cone(grads):
+        norms = np.linalg.norm(grads, axis=1)
+        scale = float(np.max(norms))
+        if scale < 1e-13 or np.min(norms) < 1e-10 * scale:
+            return True
+        ang = np.sort(np.arctan2(grads[:, 1], grads[:, 0]))
+        gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
+        return bool(np.max(gaps) < np.pi - 1e-9)
 
     length = dict(zip(map(tuple, mesh.edges.tolist()), mesh.lengths.tolist()))
 
@@ -293,9 +304,9 @@ def _critical_vertices_loop(values, mesh):
             la, lb, ang = star_angle(v, a, b)
             pa = np.array([la * np.cos(theta * scale), la * np.sin(theta * scale)])
             pb = np.array([lb * np.cos((theta + ang) * scale), lb * np.sin((theta + ang) * scale)])
-            grads.append(_planar_gradient(np.zeros(2), pa, pb, u[v], u[a], u[b]))
+            grads.append(planar_gradient(np.zeros(2), pa, pb, u[v], u[a], u[b]))
             theta += ang
-        if _zero_in_cone(np.asarray(grads)):
+        if zero_in_cone(np.asarray(grads)):
             out.append(v)
     return out
 

@@ -384,3 +384,39 @@ def test_sector_basis_matches_the_orbit_walk():
             assert np.array_equal(getattr(got, part), getattr(want, part))
         dropped += got.nnz < n
     assert dropped >= 3
+
+
+def test_stiffness_sectors_keep_a_commuting_subset_of_the_actions(monkeypatch):
+    import eigenmax.fem as fem
+
+    monkeypatch.setattr(fem, "SECTOR_MIN_SIZE", 1)
+    mesh = flat_torus(1)
+    n = mesh.n_vertices
+    # considered first (sorted names): "bad", a reflection that leaves K and
+    # M_ref unchanged but does not commute with sx, and "shift", no involution
+    mesh.actions["bad"] = _shifted_x_reflection(mesh)
+    mesh.actions["shift"] = np.roll(np.arange(n), 5)
+    spec = laplace_spectrum(mesh, 8)
+    sectors = mesh.geometry.cached("laplace_sectors", pytest.fail)
+    kept = [mesh.actions["bad"], mesh.actions["sy"]]
+    assert len(sectors.symmetries) == 2
+    assert all(np.array_equal(p, q) for p, q in zip(sectors.symmetries, kept))
+    assert [s.block.name for s in spec.sectors] == ["++", "+-", "-+", "--"]
+    full = laplace_spectrum(flat_torus(1), 8)  # sx and sy
+    assert np.allclose(spec.eigenvalues, full.eigenvalues, rtol=1e-10, atol=1e-12)
+    # the sector of a kept and of a dropped involution is the restricted pencil
+    import scipy.linalg
+
+    M = assemble_mass(mesh)
+    for name in ("sy", "sx"):
+        sector = sector_spectrum(mesh, {name: 1}, count=8)
+        R = sector_basis(n, [mesh.actions[name]], [1.0])
+        Mr = (R.T @ sp.diags(M) @ R).diagonal()
+        want = scipy.linalg.eigh((R.T @ assemble_stiffness(mesh) @ R).toarray(), np.diag(Mr))[0][:9]
+        assert np.allclose(sector.eigenvalues, want, rtol=1e-10, atol=1e-12)
+    # a mesh whose only action is no involution has one identity block
+    lone = flat_torus(1)
+    lone.actions = {"shift": mesh.actions["shift"]}
+    spec = laplace_spectrum(lone, 8)
+    assert [s.block.name for s in spec.sectors] == ["identity"]
+    assert np.allclose(spec.eigenvalues, full.eigenvalues, rtol=1e-10, atol=1e-12)

@@ -521,7 +521,7 @@ def test_steklov_blocks_are_the_sign_sectors_of_the_symmetries():
     for (mesh, steklov_panels, dirichlet_panels), sizes in zip(meshes, STEKLOV_BLOCK_SIZES):
         steklov_spectrum(mesh, 6, steklov_panels, dirichlet_panels)
         dtn = mesh.geometry.cached(_dtn_key(steklov_panels, dirichlet_panels), pytest.fail)
-        assert [len(block.dtn) for block in dtn.blocks] == sizes
+        assert [len(block.matrix) for block in dtn.blocks] == sizes
         assert sum(sizes) == len(dtn.steklov) and len(dtn.blocks) == 2 ** len(dtn.symmetries)
 
 
@@ -547,7 +547,7 @@ def test_steklov_blocks_drop_an_involution_that_is_no_symmetry():
     dtn = mesh.geometry.cached(_dtn_key(), pytest.fail)
     sy = mesh.actions["sy"][dtn.steklov]
     assert len(dtn.symmetries) == 1 and np.array_equal(dtn.steklov[dtn.symmetries[0]], sy)
-    assert [len(block.dtn) for block in dtn.blocks] == [49, 47]
+    assert [len(block.matrix) for block in dtn.blocks] == [49, 47]
     Bb = assemble_boundary_mass(mesh)[dtn.steklov]
     assert _oracle_mismatch(spec, dtn, Bb, 8) <= 1e-12
     # a density the kept symmetry does not leave invariant (the constructor
@@ -681,3 +681,44 @@ def test_harmonic_extension_checks_the_marked_panels():
     for verts, panels in ((end0, ["endL"]), (end0[1:], ["end0"]), (end0, ["end0", "endL"])):
         with pytest.raises(FemError, match="do not match"):
             harmonic_extension(mesh, (verts, np.ones(len(verts))), panels=panels)
+
+
+# -- Laplace sector blocks
+
+
+def _dense_lowest(mesh, count):
+    """The lowest count eigenpairs of K u = lambda M u by a dense generalized eigh."""
+    import scipy.linalg
+
+    M = assemble_mass(mesh)
+    return scipy.linalg.eigh(assemble_stiffness(mesh).toarray(), np.diag(M), subset_by_index=[0, count - 1])
+
+
+def test_merged_sector_solves_match_a_full_solve(monkeypatch):
+    import eigenmax.fem as fem
+
+    # split by every kept involution, however small the sectors get
+    monkeypatch.setattr(fem, "SECTOR_MIN_SIZE", 1)
+    split = 0
+    for mesh, _ in _reference_meshes():
+        for count in (1, 8):
+            spec = laplace_spectrum(mesh, count)
+            vals, vecs = _dense_lowest(mesh, count + 1)
+            assert np.allclose(spec.eigenvalues, vals, rtol=1e-10, atol=1e-10 * vals[-1])
+            M = spec.mass
+            assert np.allclose(spec.vectors.T @ (M[:, None] * spec.vectors), np.eye(count + 1), atol=1e-10)
+            # every cluster below the top one spans the dense solve's cluster space
+            for i, j in spec.clusters()[:-1]:
+                overlap = vecs[:, i:j].T @ (M[:, None] * spec.vectors[:, i:j])
+                assert np.linalg.svd(overlap, compute_uv=False).min() > 1 - 1e-8
+            # without a prior every block is solved at this density
+            assert all(s.density is mesh.density for s in spec.sectors)
+        split += len(spec.sectors) > 1
+    assert split >= 3
+
+
+def test_small_meshes_keep_one_identity_block():
+    mesh = round_sphere(2)
+    spec = laplace_spectrum(mesh, 8)
+    assert mesh.n_vertices < 2 * 1000 and len(mesh.actions) == 3
+    assert [s.block.name for s in spec.sectors] == ["identity"]

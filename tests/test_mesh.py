@@ -415,3 +415,20 @@ def test_lengths_violating_the_triangle_inequality_are_rejected():
     with pytest.raises(DegenerateTriangle, match="triangle inequality"):
         SymmetricMesh(pos, [(0, 1, 2)], lengths)
 
+
+
+def test_area_is_memoized_per_density():
+    from eigenmax.meshcore import weighted_area
+
+    mesh = unit_disk(1)
+    assert mesh.area() == weighted_area(mesh, mesh.density)
+    rng = np.random.default_rng(2)
+    for _ in range(3):
+        rho = rng.uniform(0.5, 2.0) * mesh.density
+        copy = mesh.with_density(rho)
+        # the copy's area is its own density's, not the one memoized on mesh
+        assert copy.area() == weighted_area(copy, rho)
+        assert copy.area() == weighted_area(copy, rho)
+    assert mesh.area() == weighted_area(mesh, mesh.density)
+    mesh.density = 3.0 * mesh.density
+    assert mesh.area() == weighted_area(mesh, mesh.density)

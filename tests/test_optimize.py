@@ -324,3 +324,35 @@ def test_a_run_at_the_iteration_cap_returns_its_last_accepted_move():
     assert capped.history == longer.history[:4]
     assert capped.objective == longer.history[3][1]
     assert capped.objective == normalized_first(final, "laplace", spec)
+
+
+def test_sectors_skipped_by_the_guard_cannot_reach_the_merged_top(monkeypatch, caplog):
+    import eigenmax.fem as fem
+
+    # split the small genus-2 surface (4 sectors) as a large one is split
+    monkeypatch.setattr(fem, "SECTOR_MIN_SIZE", 100)
+    mesh = _genus_two_mesh()
+    solve = fem.laplace_spectrum
+    skipped = []
+
+    def checked(trial, count=8, seed=0, prior=None, **kwargs):
+        spec = solve(trial, count, seed=seed, prior=prior, **kwargs)
+        if spec.sectors is None:
+            return spec
+        M = fem.assemble_mass(trial)
+        for sector in spec.sectors:
+            if sector.density is not trial.density:
+                # the fresh lowest eigenvalue of the skipped sector at the trial density
+                block = sector.block
+                lowest = fem.solve_generalized(block.matrix, block.mass(M), 1)[0][0]
+                assert lowest > spec.eigenvalues[-1]
+                assert prior is not None
+                skipped.append(lowest / spec.eigenvalues[-1])
+        return spec
+
+    monkeypatch.setattr(fem, "laplace_spectrum", checked)
+    with caplog.at_level("DEBUG", logger="eigenmax.fem"):
+        state, _, spec = maximize(mesh, max_iters=6)
+    assert len(spec.sectors) == 4 and skipped
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sector solve")]
+    assert any("skipped ['--']" in line for line in lines)
